@@ -18,11 +18,6 @@
                                     writes BENCH_chaos.json
      bench/main.exe race [target..] simultaneous-event race detection over the
                                     registered targets (default all)
-     bench/main.exe scale           scheduler sweep: heap/calendar/wheel over
-                                    cluster size x pending-event population,
-                                    after a cross-scheduler digest diff
-     bench/main.exe scale-validate [file]
-                                    check BENCH_scale.json's shape (CI gate)
      bench/main.exe cache           in-network cache sweep: Zipf theta x
                                     {cache-off+CRRS, cache-only, cache+CRRS}
                                     plus a flash-crowd scenario; writes
@@ -30,10 +25,10 @@
      bench/main.exe cache-validate [file]
                                     check BENCH_cache.json's shape (CI gate)
 
-   The ycsb mode takes --jbofs N to scale the cluster. The ycsb, race and
-   scale modes additionally write machine-readable BENCH_ycsb.json /
-   BENCH_race.json / BENCH_scale.json (throughput, p99, events/sec, wall
-   time) for trend tracking across commits. *)
+   The ycsb mode takes --jbofs N to scale the cluster. The ycsb and race
+   modes additionally write machine-readable BENCH_ycsb.json /
+   BENCH_race.json (throughput, p99, events/sec, wall time) for trend
+   tracking across commits. *)
 
 open Leed_experiments
 
@@ -436,276 +431,6 @@ let race ~fast names =
     exit 1
   end
 
-(* --- scale: scheduler sweep over cluster size and event population --- *)
-
-(* Synthetic hold-model storm: every preloaded object arms a short chain
-   of maintenance timers (lease refresh / scrub touch) on its JBOF's
-   device rows, so the pending-event population sits at ~[objects] for
-   most of the run — the steady-state regime that separates the
-   O(log n) heap from the O(1) calendar queue and timing wheel. All
-   firing times are stateless hashes of virtual time: identical
-   whichever scheduler runs them, and clustered into equal-time ties by
-   a per-device service quantum. *)
-let scale_ssds = 4
-
-(* Allocation-free int mixer for the storm's firing times: the sim's
-   [Rng.hash2] routes through boxed [Int64] arithmetic whose allocation
-   would swamp the scheduler cost this bench isolates. *)
-let smix x =
-  let x = (x lxor (x lsr 30)) * 0x2545F4914F6CDD1D in
-  let x = (x lxor (x lsr 27)) * 0x106689D45497FDB5 in
-  (x lxor (x lsr 31)) land max_int
-
-let scale_storm ~jbofs ~objects ~rounds () =
-  let open Leed_sim in
-  let devices = jbofs * scale_ssds in
-  let quantum = 16e-6 in
-  (* A chain's identity is its own firing time: every timer runs the one
-     shared closure below, which derives its re-arm delay and its
-     continue/stop decision from a hash of the current virtual instant.
-     Steady state therefore reads no per-object state at all — an
-     earlier design kept per-object round counters and callbacks in two
-     [objects]-sized arrays, whose two random accesses per event were
-     cold DRAM misses charged identically to every scheduler, diluting
-     the very ratios this sweep exists to measure. Chains continue with
-     probability (rounds-1)/rounds per firing, i.e. [rounds] expected
-     firings per chain; the virtual-time hash is bit-identical whichever
-     scheduler dispatches, so the workload still is too. *)
-  let cutoff = (12_288. *. quantum) +. 0.25 in
-  let rec chain () =
-    let h = smix (int_of_float (Sim.now () *. 1e9)) in
-    if h mod rounds <> 0 && not (Sim.past cutoff) then
-      (* re-arm 1-256 device quanta ahead, plus sub-quantum jitter *)
-      Sim.after
-        ((float_of_int (1 + ((h lsr 8) land 255)) *. quantum)
-        +. (float_of_int ((h lsr 16) land 1023) *. 1e-8))
-        chain
-  in
-  for obj = 0 to objects - 1 do
-    let dev = obj mod devices in
-    let h = smix obj in
-    (* initial fires spread over ~197 ms (inside the wheel's cascade
-       horizon, wide enough to keep per-tick occupancy low): a
-       device-quantum grid plus sub-quantum jitter, like the re-arms —
-       without the jitter the whole population collapses onto 12K
-       distinct instants and every scheduler degenerates into sorted
-       tie-chains instead of exercising its placement machinery *)
-    Sim.after
-      ((float_of_int (h mod 12_288) *. quantum)
-      +. (float_of_int ((h lsr 13) land 2047) *. 1e-8)
-      +. (float_of_int dev *. 1e-9))
-      chain
-  done;
-  (* outlive the last possible timer, then read the run counters *)
-  Sim.delay 1.0;
-  (Sim.events_dispatched (), Sim.max_pending_events ())
-
-let scale_run ~sched ~jbofs ~objects ~rounds =
-  let open Leed_sim in
-  Gc.full_major ();
-  let minor0 = Gc.minor_words () in
-  let wall0 = Unix.gettimeofday () in
-  let events, max_pending =
-    Sim.run ~sched (fun () -> scale_storm ~jbofs ~objects ~rounds ())
-  in
-  let wall = Unix.gettimeofday () -. wall0 in
-  let minor = Gc.minor_words () -. minor0 in
-  (events, max_pending, wall, minor)
-
-let scale ~fast () =
-  let open Leed_sim in
-  let module Race = Leed_race.Race in
-  (* 1) Cross-scheduler digest diff on real workloads: the calendar
-     queue and timing wheel must reproduce the binary heap's dispatch
-     order bit for bit, under FIFO and perturbed tie-breaks alike. Any
-     divergence is nondeterminism and fails the bench. *)
-  print_endline "== scale: cross-scheduler digest equivalence ==";
-  List.iter
-    (fun (target, tiebreaks) ->
-      let t = Race.find_target ~fast:true target in
-      List.iter
-        (fun (tb_name, tiebreak) ->
-          let reference = t.Race.run ~tiebreak ~sched:Sim.Binary_heap () in
-          List.iter
-            (fun sched ->
-              let d = t.Race.run ~tiebreak ~sched () in
-              Printf.printf "  %-12s %-9s %-8s %s\n%!" target tb_name (Scheduler.name sched)
-                (String.sub d 0 (min 16 (String.length d)));
-              if d <> reference then begin
-                Printf.eprintf "bench scale: %s digest diverged on %s under %s tie-break\n"
-                  target (Scheduler.name sched) tb_name;
-                exit 1
-              end)
-            Scheduler.kinds)
-        tiebreaks)
-    [
-      ("ycsb-b-leed", [ ("fifo", Sim.Fifo); ("perturbed", Sim.Perturbed 0xACE) ]);
-      ("chaos", [ ("fifo", Sim.Fifo) ]);
-    ];
-  (* 2) Timing sweep: cluster size x preloaded objects x scheduler. *)
-  let jbofs_list = [ 3; 16; 64 ] in
-  let objects_list =
-    if fast then [ 8_192; 131_072; 1_048_576 ]
-    else [ 8_192; 131_072; 1_048_576; 10_485_760 ]
-  in
-  let largest_j = List.fold_left max 0 jbofs_list in
-  (* The 10M-object population costs ~1 GB of live cells and minutes of
-     wall clock per scheduler pass; sweep it at the largest cluster
-     only, which is the configuration the speedup criterion reads. *)
-  let swept jbofs objects = objects < 10_000_000 || jbofs = largest_j in
-  (* More re-arm rounds at huge populations: one round is dominated by
-     the one-time cost of faulting in the cell population, which hits
-     every scheduler identically; extra rounds measure the scheduler's
-     steady state. *)
-  let rounds_for objects = if objects >= 4_000_000 then 6 else 2 in
-  (* Keep the GC out of the measurement: the storm's live set (one cell
-     per pending object) is large, and the nursery must turn over
-     slower than an event's pending wait — otherwise every reschedule's
-     boxed time survives a minor collection and is promoted, charging
-     the major collector per event. A 64M-word nursery makes the
-     turnover tens of virtual milliseconds even at the 10M-object
-     density, far past the millisecond re-arm delays, so per-event
-     garbage dies young in every scheduler. Restored after the sweep. *)
-  let gc0 = Gc.get () in
-  Gc.set { gc0 with Gc.minor_heap_size = 1 lsl 26; space_overhead = 400 };
-  print_endline "== scale: events/sec per scheduler ==";
-  Printf.printf "  %-8s %5s %9s %10s %10s %8s %12s %12s\n" "sched" "jbofs" "objects" "events"
-    "wall_s" "Mev/s" "max_pending" "minor_words";
-  let rows = ref [] in
-  let rates = Hashtbl.create 64 in
-  List.iter
-    (fun jbofs ->
-      List.iter
-        (fun objects ->
-          if swept jbofs objects then begin
-          let rounds = rounds_for objects in
-          (* Two interleaved passes per configuration, keeping each
-             scheduler's best run: machine-load drift hits all three
-             schedulers alike within a pass, and best-of-2 keeps one
-             slow outlier from skewing the cross-scheduler ratios. *)
-          let best = Hashtbl.create 8 in
-          for _pass = 1 to 2 do
-            List.iter
-              (fun sched ->
-                let events, max_pending, wall, minor = scale_run ~sched ~jbofs ~objects ~rounds in
-                let better =
-                  match Hashtbl.find_opt best (Scheduler.name sched) with
-                  | Some (_, _, wall', _) -> wall < wall'
-                  | None -> true
-                in
-                if better then
-                  Hashtbl.replace best (Scheduler.name sched) (events, max_pending, wall, minor))
-              Scheduler.kinds
-          done;
-          List.iter
-            (fun sched ->
-              let events, max_pending, wall, minor =
-                Hashtbl.find best (Scheduler.name sched)
-              in
-              let rate = if wall > 0. then float_of_int events /. wall else 0. in
-              Hashtbl.replace rates (Scheduler.name sched, jbofs, objects) rate;
-              Printf.printf "  %-8s %5d %9d %10d %10.3f %8.2f %12d %12.0f\n%!"
-                (Scheduler.name sched) jbofs objects events wall (rate /. 1e6) max_pending minor;
-              rows :=
-                Json.Obj
-                  [
-                    ("scheduler", Json.Str (Scheduler.name sched));
-                    ("jbofs", Json.Int jbofs);
-                    ("ssds", Json.Int scale_ssds);
-                    ("objects", Json.Int objects);
-                    ("rounds", Json.Int rounds);
-                    ("events", Json.Int events);
-                    ("wall_s", Json.Num wall);
-                    ("events_per_s", Json.Num rate);
-                    ("max_pending", Json.Int max_pending);
-                    ("minor_words", Json.Num minor);
-                  ]
-                :: !rows)
-            Scheduler.kinds
-          end)
-        objects_list)
-    jbofs_list;
-  Gc.set gc0;
-  (* speedup over the binary heap at the largest configuration *)
-  let largest_o = List.fold_left max 0 objects_list in
-  let rate_of name = try Hashtbl.find rates (name, largest_j, largest_o) with Not_found -> 0. in
-  let heap_rate = rate_of "heap" in
-  let speedups =
-    List.filter_map
-      (fun sched ->
-        let name = Scheduler.name sched in
-        if name = "heap" || heap_rate <= 0. then None
-        else Some (name, rate_of name /. heap_rate))
-      Scheduler.kinds
-  in
-  List.iter
-    (fun (name, s) ->
-      Printf.printf "scale: %s is %.2fx heap at %d JBOFs / %d objects\n" name s largest_j largest_o)
-    speedups;
-  Json.write "BENCH_scale.json"
-    (Json.Obj
-       [
-         ("bench", Json.Str "scale");
-         ("fast", Json.Bool fast);
-         ("results", Json.List (List.rev !rows));
-         ( "speedup_largest",
-           Json.Obj (List.map (fun (name, s) -> (name, Json.Num s)) speedups) );
-       ]);
-  Printf.printf "wrote BENCH_scale.json (%d rows)\n" (List.length !rows)
-
-(* Shape check for the CI gate: parse BENCH_scale.json back (through the
-   trace module's JSON parser, the repo's only reader) and verify every
-   row carries the full metric set for every scheduler. *)
-let scale_validate file =
-  let module J = Leed_trace.Trace.Json in
-  let fail msg =
-    Printf.eprintf "%s: %s\n" file msg;
-    exit 1
-  in
-  let contents =
-    match In_channel.with_open_bin file In_channel.input_all with
-    | s -> s
-    | exception Sys_error e -> fail e
-  in
-  match J.parse contents with
-  | Error e -> fail ("parse error: " ^ e)
-  | Ok (J.Obj fields) ->
-      let str_field name = function J.Obj fs -> (match List.assoc_opt name fs with Some (J.Str s) -> Some s | _ -> None) | _ -> None in
-      let num_field name = function
-        | J.Obj fs -> (
-            match List.assoc_opt name fs with Some (J.Num n) -> Some n | _ -> None)
-        | _ -> None
-      in
-      if List.assoc_opt "bench" fields <> Some (J.Str "scale") then fail "bench field is not \"scale\"";
-      let rows = match List.assoc_opt "results" fields with Some (J.Arr rows) -> rows | _ -> fail "missing results array" in
-      if rows = [] then fail "empty results array";
-      let required = [ "jbofs"; "ssds"; "objects"; "rounds"; "events"; "wall_s"; "events_per_s"; "max_pending"; "minor_words" ] in
-      let schedulers = Leed_sim.Scheduler.names in
-      List.iteri
-        (fun i row ->
-          (match str_field "scheduler" row with
-          | Some s when List.mem s schedulers -> ()
-          | Some s -> fail (Printf.sprintf "row %d: unknown scheduler %S" i s)
-          | None -> fail (Printf.sprintf "row %d: missing scheduler" i));
-          List.iter
-            (fun f ->
-              match num_field f row with
-              | Some n when Float.is_finite n && n >= 0. -> ()
-              | Some _ -> fail (Printf.sprintf "row %d: non-finite or negative %s" i f)
-              | None -> fail (Printf.sprintf "row %d: missing numeric field %s" i f))
-            required;
-          if num_field "events_per_s" row = Some 0. then
-            fail (Printf.sprintf "row %d: zero events/sec" i))
-        rows;
-      List.iter
-        (fun s ->
-          if not (List.exists (fun row -> str_field "scheduler" row = Some s) rows) then
-            fail (Printf.sprintf "no rows for scheduler %S" s))
-        schedulers;
-      Printf.printf "%s: ok (%d rows, %d schedulers)\n" file (List.length rows)
-        (List.length schedulers)
-  | Ok _ -> fail "top level is not an object"
-
 (* --- in-network cache sweep (fig7/fig8-style; DESIGN.md §15) ---
 
    The LETHE comparison: under growing Zipf skew and under a flash crowd,
@@ -835,9 +560,10 @@ let cache_bench ~fast () =
        ]);
   Printf.printf "wrote BENCH_cache.json (%d rows)\n" (List.length sweep + List.length flash)
 
-(* Shape check for the CI gate, mirroring [scale_validate]: every
-   (scenario x config) cell present, all metrics finite, and the armed
-   configs actually hit in the cache somewhere. *)
+(* Shape check for the CI gate: parse BENCH_cache.json back (through the
+   trace module's JSON parser, the repo's only reader) and check every
+   (scenario x config) cell is present, all metrics finite, and the
+   armed configs actually hit in the cache somewhere. *)
 let cache_validate file =
   let module J = Leed_trace.Trace.Json in
   let fail msg =
@@ -1031,34 +757,6 @@ let () =
   | "chaos" :: rest -> chaos ~fast rest
   | "repl" :: rest -> repl ~fast rest
   | "race" :: rest -> race ~fast rest
-  | "scale" :: _ -> scale ~fast ()
-  | "scale-probe" :: sched_name :: jbofs :: objects :: rest ->
-      (* One (scheduler, jbofs, objects) cell of the scale sweep, for
-         perf investigation without the full matrix. *)
-      let sched =
-        match Leed_sim.Scheduler.of_name sched_name with
-        | Some s -> s
-        | None -> Printf.eprintf "unknown scheduler %s\n" sched_name; exit 2
-      in
-      let jbofs = int_of_string jbofs and objects = int_of_string objects in
-      let rounds = match rest with r :: _ -> int_of_string r | [] -> 2 in
-      let gc0 = Gc.get () in
-      Gc.set { gc0 with Gc.minor_heap_size = 1 lsl 26; space_overhead = 400 };
-      let s0 = Gc.quick_stat () in
-      let events, max_pending, wall, minor = scale_run ~sched ~jbofs ~objects ~rounds in
-      let s1 = Gc.quick_stat () in
-      Gc.set gc0;
-      Printf.printf
-        "%s jbofs=%d objects=%d events=%d wall=%.3f Mev/s=%.2f max_pending=%d minor=%.0f \
-         promoted=%.0f majors=%d minors=%d\n"
-        sched_name jbofs objects events wall
-        (float_of_int events /. wall /. 1e6)
-        max_pending minor
-        (s1.Gc.promoted_words -. s0.Gc.promoted_words)
-        (s1.Gc.major_collections - s0.Gc.major_collections)
-        (s1.Gc.minor_collections - s0.Gc.minor_collections)
-  | "scale-validate" :: rest ->
-      scale_validate (match rest with f :: _ -> f | [] -> "BENCH_scale.json")
   | "cache" :: _ -> cache_bench ~fast ()
   | "cache-validate" :: rest ->
       cache_validate (match rest with f :: _ -> f | [] -> "BENCH_cache.json")

@@ -73,15 +73,6 @@ echo "== race smoke (perturbed equal-time orderings, clean target + racy fixture
 dune exec bin/leed.exe -- race --fast --runs 8 --target chaos
 dune exec bin/leed.exe -- race --fast --runs 8 --target racy-demo
 
-echo "== scheduler scale smoke (digest equivalence + fast sweep + schema) =="
-# `scale fast` first replays full YCSB-B and chaos runs under every
-# scheduler x tie-break pair and exits 1 unless the dispatch digests
-# are bit-identical to the binary heap's, then sweeps cluster size x
-# preloaded objects per scheduler and writes BENCH_scale.json, which
-# the validator shape-checks.
-dune exec bench/main.exe -- scale fast
-dune exec bench/main.exe -- scale-validate BENCH_scale.json
-
 echo "== cache bench smoke (theta sweep + flash crowd + schema) =="
 # `cache fast` sweeps Zipf skew and a flash crowd across cache-off /
 # cache-only / cache+CRRS and writes BENCH_cache.json; the validator

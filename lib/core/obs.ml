@@ -23,7 +23,7 @@ type t = {
   dev_inflight : Summary.t;  (* per device *)
   rpc_pending : Summary.t;  (* per client *)
   swapped : Summary.t;  (* per partition: segments living in swap *)
-  heap_depth : Summary.t;  (* scheduler event-heap depth *)
+  heap_depth : Summary.t;  (* pending events in the sim event queue *)
 }
 
 let create ?(period = 0.01) cluster =

@@ -667,9 +667,9 @@ module Chaos = struct
 
   let digest_of_fields fields = Digest.to_hex (Digest.string (String.concat "|" fields))
 
-  let run ?checks ?tiebreak ?sched ?on_dispatch (cfg : config) =
+  let run ?checks ?tiebreak ?on_dispatch (cfg : config) =
     if cfg.nkeys < cfg.nclients then invalid_arg "Chaos.run: nkeys must be >= nclients";
-    Sim.run ?checks ?tiebreak ?sched ?on_dispatch (fun () ->
+    Sim.run ?checks ?tiebreak ?on_dispatch (fun () ->
         let cluster = Cluster.create ~config:(cluster_config cfg) () in
         let clients = List.init cfg.nclients (fun _ -> Cluster.client cluster) in
         let sched =

@@ -213,7 +213,6 @@ module Chaos : sig
   val run :
     ?checks:bool ->
     ?tiebreak:Leed_sim.Sim.tiebreak ->
-    ?sched:Leed_sim.Sim.sched ->
     ?on_dispatch:(Leed_sim.Sim.dispatch -> unit) ->
     config ->
     report

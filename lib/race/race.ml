@@ -33,7 +33,6 @@ type target = {
   expect_divergence : bool;
   run :
     ?tiebreak:Sim.tiebreak ->
-    ?sched:Sim.sched ->
     ?on_dispatch:(Sim.dispatch -> unit) ->
     unit ->
     string;
@@ -58,8 +57,8 @@ let ycsb_target ~fast ~backend ~mixname mk_mix =
   let nkeys = if fast then 256 else 1024 in
   let ops = if fast then 80 else 300 in
   let object_size = 256 in
-  let run ?tiebreak ?sched ?on_dispatch () =
-    Sim.run ?tiebreak ?sched ?on_dispatch (fun () ->
+  let run ?tiebreak ?on_dispatch () =
+    Sim.run ?tiebreak ?on_dispatch (fun () ->
         let setup = E.setup_of_name ~nclients:workers backend in
         let value_size = max 1 (object_size - Workload.key_size) in
         E.preload setup ~nkeys ~value_size;
@@ -111,8 +110,8 @@ let chaos_target ~fast ~bit_rot =
       seed = (if bit_rot then 7 else 42);
     }
   in
-  let run ?tiebreak ?sched ?on_dispatch () =
-    (Fault.Chaos.run ?tiebreak ?sched ?on_dispatch cfg).Fault.Chaos.state_digest
+  let run ?tiebreak ?on_dispatch () =
+    (Fault.Chaos.run ?tiebreak ?on_dispatch cfg).Fault.Chaos.state_digest
   in
   {
     name = (if bit_rot then "chaos-bitrot" else "chaos");
@@ -128,8 +127,8 @@ let chaos_target ~fast ~bit_rot =
    spawn event dispatches first, so perturbation must flip the digest
    and attribution must name the two writer events. *)
 let racy_demo =
-  let run ?tiebreak ?sched ?on_dispatch () =
-    Sim.run ?tiebreak ?sched ?on_dispatch (fun () ->
+  let run ?tiebreak ?on_dispatch () =
+    Sim.run ?tiebreak ?on_dispatch (fun () ->
         let setup = E.setup_of_name ~nclients:2 "leed" in
         let clients = Array.of_list setup.E.clients in
         let key = Workload.key_of_id 0 in

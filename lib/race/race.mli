@@ -21,7 +21,6 @@ type target = {
   expect_divergence : bool;
   run :
     ?tiebreak:Leed_sim.Sim.tiebreak ->
-    ?sched:Leed_sim.Sim.sched ->
     ?on_dispatch:(Leed_sim.Sim.dispatch -> unit) ->
     unit ->
     string;

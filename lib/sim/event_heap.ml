@@ -1,4 +1,5 @@
-(* Binary min-heap of timestamped events — the reference scheduler.
+(* Binary min-heap of timestamped events: the timing wheel's overflow
+   store, and the reference order the wheel is tested against.
 
    Ordering is Sched_event.before: (time, key, seq). Under the default
    FIFO tie-break policy every key is 0, so equal-time events fire in
@@ -12,8 +13,7 @@
 
 type t = { mutable arr : Sched_event.t array; mutable len : int }
 
-let create ?(capacity = 64) () =
-  { arr = Array.make (max 1 capacity) Sched_event.nil; len = 0 }
+let create () = { arr = Array.make 64 Sched_event.nil; len = 0 }
 
 let length h = h.len
 
@@ -28,7 +28,7 @@ let grow h =
 
 (* The sift loops are top-level functions with explicit arguments, not
    inner closures: a closure capturing [h] would allocate on every
-   add/pop, and these are the engine's hottest operations. *)
+   add/pop. *)
 let rec sift_up h ev i =
   if i = 0 then h.arr.(0) <- ev
   else
@@ -72,10 +72,3 @@ let pop h =
 
 let peek_time h = if h.len = 0 then infinity else h.arr.(0).Sched_event.time
 
-(* One call instead of peek-then-pop in the engine loop: a [peek_time]
-   through the scheduler's closure record boxes its float result on
-   every dispatch, which this fused form avoids entirely. *)
-let pop_until h limit =
-  if h.len = 0 then Sched_event.nil
-  else if h.arr.(0).Sched_event.time > limit then Sched_event.nil
-  else pop h

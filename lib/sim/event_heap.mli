@@ -1,4 +1,5 @@
-(** Binary min-heap of timestamped events — the reference scheduler.
+(** Binary min-heap of timestamped events: the timing wheel's overflow
+    store, and the reference order the wheel is tested against.
 
     Ordering is {!Sched_event.before}: [(time, key, seq)] lexicographic.
     The default FIFO policy assigns every event key 0 (pure insertion
@@ -6,15 +7,15 @@
     explore alternative legal orderings of simultaneous events.
 
     O(log n) [add]/[pop] regardless of the time distribution — the
-    robust baseline the calendar queue and timing wheel are checked
-    against for bit-identical dispatch order. *)
+    simple baseline the timing wheel is checked against for
+    bit-identical pop order. *)
 
 type t
 (** An array-backed binary min-heap of {!Sched_event.t} cells. *)
 
-val create : ?capacity:int -> unit -> t
-(** A fresh, empty heap. [capacity] (default 64) sizes the initial
-    backing array; the heap grows geometrically as needed. *)
+val create : unit -> t
+(** A fresh, empty heap. The backing array starts at 64 cells and grows
+    geometrically as needed. *)
 
 val length : t -> int
 (** Number of events currently queued. *)
@@ -34,8 +35,3 @@ val peek_time : t -> float
 (** Time of the earliest event without removing it; [infinity] when
     empty. *)
 
-val pop_until : t -> float -> Sched_event.t
-(** [pop_until h limit] pops the minimum event if its time is [<= limit];
-    [Sched_event.nil] when the heap is empty or the minimum lies beyond
-    [limit]. Equivalent to a [peek_time] test followed by [pop], fused so
-    the hot loop performs one call and no float boxing. *)

@@ -2,16 +2,16 @@
 
    Processes are ordinary OCaml functions that perform effects ([delay],
    [suspend], [spawn]); a deep effect handler turns each into a coroutine
-   scheduled on a global event scheduler. Blocking synchronisation
+   scheduled on a global event queue. Blocking synchronisation
    primitives (Ivar, Mailbox, Resource) are built on the single [suspend]
    primitive, whose resume closure is single-shot, making timeouts
    race-free.
 
-   The scheduler is pluggable (Scheduler.kind): a binary heap (the
-   reference), a calendar queue, or a hierarchical timing wheel. All
-   three honour the same (time, key, seq) ordering contract exactly, so
-   the dispatch sequence — and therefore every digest built on it — is
-   bit-identical whichever one a run selects.
+   The event queue is a hierarchical timing wheel (Timing_wheel) with an
+   overflow heap. It pops events in exact (time, key, seq) order — the
+   order Event_heap, the reference it is tested against, defines — so
+   the dispatch sequence, and every digest built on it, is fixed by the
+   seed and the tie-break policy alone.
 
    The hot loop is allocation-lean: event cells are recycled through a
    per-engine freelist, so steady-state scheduling mutates a reused
@@ -30,20 +30,17 @@ exception Main_incomplete
    reordering flips the observables. *)
 type tiebreak = Fifo | Perturbed of int | Perturb_first of { seed : int; limit : int }
 
-type sched = Scheduler.kind = Binary_heap | Calendar | Wheel
-
 type dispatch = { d_time : float; d_seq : int; d_label : string }
 
 type engine = {
   mutable now : float;
   mutable seq : int;
-  sched : Scheduler.t;
+  queue : Timing_wheel.t;
   mutable free : Sched_event.t; (* freelist of recycled event cells *)
   mutable stopped : bool;
   mutable spawned : int;
   mutable dispatched : int;
-  mutable pending : int; (* events scheduled and not yet dispatched *)
-  mutable max_pending : int; (* high-water mark of pending events *)
+  mutable max_pending : int; (* high-water mark of queued events *)
   keyfn : int -> int; (* seq -> equal-time ordering key, from [tiebreak] *)
   on_dispatch : (dispatch -> unit) option;
   mutable cur_label : string; (* label of the event being executed *)
@@ -88,11 +85,9 @@ let schedule ?label eng ~at run =
   ev.Sched_event.seq <- eng.seq;
   ev.Sched_event.label <- (match label with Some l -> l | None -> eng.cur_label);
   ev.Sched_event.run <- run;
-  Scheduler.add eng.sched ev;
-  (* Tracked incrementally rather than asking the scheduler: one fewer
-     closure call per scheduled event. *)
-  eng.pending <- eng.pending + 1;
-  if eng.pending > eng.max_pending then eng.max_pending <- eng.pending
+  Timing_wheel.add eng.queue ev;
+  let pending = Timing_wheel.length eng.queue in
+  if pending > eng.max_pending then eng.max_pending <- pending
 
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
@@ -132,7 +127,7 @@ let now () = (get_engine ()).now
 let delay t = if t > 0. then Effect.perform (Delay t) else ()
 let suspend register = Effect.perform (Suspend register)
 
-(* [spawn] and [after] are not effects: they only mutate the scheduler, so
+(* [spawn] and [after] are not effects: they only mutate the event queue, so
    they are callable from anywhere — including resume-registration callbacks
    that run outside any process handler. Unlabelled children inherit the
    spawner's label, so attribution stays allocation-free on hot paths. *)
@@ -151,24 +146,22 @@ let stop () =
   let eng = get_engine () in
   eng.stopped <- true
 
-(* Scheduler introspection, sampled by the observability layer. *)
+(* Event-queue introspection, sampled by the observability layer. *)
 let events_dispatched () = (get_engine ()).dispatched
-let heap_depth () = Scheduler.length (get_engine ()).sched
+let heap_depth () = Timing_wheel.length (get_engine ()).queue
 let max_pending_events () = (get_engine ()).max_pending
 let processes_spawned () = (get_engine ()).spawned
 
-let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Binary_heap) ?on_dispatch
-    (main : unit -> 'a) : 'a =
+let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?on_dispatch (main : unit -> 'a) : 'a =
   let eng =
     {
       now = 0.;
       seq = 0;
-      sched = Scheduler.create sched;
+      queue = Timing_wheel.create ();
       free = Sched_event.nil;
       stopped = false;
       spawned = 0;
       dispatched = 0;
-      pending = 0;
       max_pending = 0;
       keyfn = keyfn_of tiebreak;
       on_dispatch;
@@ -195,13 +188,13 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Binary_heap) ?o
         processes (periodic compactors, heartbeats) must not keep the
         simulation alive forever. *)
      while !continue_loop && not eng.stopped && not !main_done do
-       (* One fused scheduler call per dispatch: peek-then-pop through
-          the closure record would box peek's float result every
-          iteration. [nil] means empty or next-beyond-[until]; the two
-          are told apart on the cold path below. *)
-       let ev = Scheduler.pop_until eng.sched until in
+       (* One fused queue call per dispatch: peek-then-pop would box
+          peek's float result every iteration. [nil] means empty or
+          next-beyond-[until]; the two are told apart on the cold path
+          below. *)
+       let ev = Timing_wheel.pop_until eng.queue until in
        if ev == Sched_event.nil then begin
-         if Scheduler.peek_time eng.sched < infinity then eng.now <- until;
+         if Timing_wheel.peek_time eng.queue < infinity then eng.now <- until;
          continue_loop := false
        end
        else begin
@@ -221,10 +214,9 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?(sched = Binary_heap) ?o
            Invariant.require ~invariant:"event-time-monotonicity" ~time:eng.now
              (time >= eng.now)
              ~detail:(fun () ->
-               Printf.sprintf "scheduler yielded an event at t=%.9g behind the clock" time);
+               Printf.sprintf "event queue yielded an event at t=%.9g behind the clock" time);
          eng.now <- time;
          eng.dispatched <- eng.dispatched + 1;
-         eng.pending <- eng.pending - 1;
          eng.cur_label <- label;
          (match eng.on_dispatch with
          | None -> ()

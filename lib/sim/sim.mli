@@ -36,33 +36,23 @@ exception Main_incomplete
     the first event whose reordering changes the observables. *)
 type tiebreak = Fifo | Perturbed of int | Perturb_first of { seed : int; limit : int }
 
-(** Which event-scheduler data structure drives the run (see
-    {!Scheduler}): [Binary_heap] is the O(log n) reference, [Calendar]
-    a Brown '88 calendar queue, [Wheel] a hierarchical timing wheel
-    with overflow heap. All three obey the same [(time, key, seq)]
-    ordering contract exactly, so the dispatch sequence — and every
-    race/chaos digest built on it — is bit-identical whichever one a
-    run selects; only speed differs. *)
-type sched = Scheduler.kind = Binary_heap | Calendar | Wheel
-
-(** One executed scheduler event, as seen by [run]'s [?on_dispatch]
-    hook: its virtual time, scheduling sequence number, and the label
-    of the process (or timer context) that scheduled it. *)
+(** One executed event, as seen by [run]'s [?on_dispatch] hook: its
+    virtual time, scheduling sequence number, and the label of the
+    process (or timer context) that scheduled it. *)
 type dispatch = { d_time : float; d_seq : int; d_label : string }
 
 val run :
   ?until:float ->
   ?checks:bool ->
   ?tiebreak:tiebreak ->
-  ?sched:sched ->
   ?on_dispatch:(dispatch -> unit) ->
   (unit -> 'a) ->
   'a
 (** [run main] creates a fresh simulation clock at time 0, executes [main]
     as the root process and drives the event loop until [main]'s result is
-    available and the event heap drains, [until] is reached, or {!stop} is
-    called. Returns [main]'s result. Nested runs are permitted (the outer
-    engine is restored on exit).
+    available, [until] is reached, or {!stop} is called. Returns [main]'s
+    result. Nested runs are permitted (the outer engine is restored on
+    exit).
 
     [~checks:true] turns on the {!Invariant} runtime sanitizer for the
     duration of the run (event-time monotonicity, device queue bounds,
@@ -71,12 +61,13 @@ val run :
     default, on under [LEED_SANITIZE=1]. The previous state is restored
     when the run finishes.
 
+    Events wait in a hierarchical timing wheel ({!Timing_wheel}) and are
+    dispatched in [(time, key, seq)] order ({!Sched_event.before}).
     [~tiebreak] selects the equal-time event ordering policy (default
-    {!Fifo}). [~sched] selects the scheduler data structure (default
-    {!Binary_heap}); the choice never changes observable behaviour,
-    only performance. [~on_dispatch] is called once per executed event,
-    before it runs — the race detector's execution-log channel; leave it
-    unset on hot paths (the per-event cost when unset is one branch). *)
+    {!Fifo}), which sets each event's [key]. [~on_dispatch] is called
+    once per executed event, before it runs — the race detector's
+    execution-log channel; leave it unset on hot paths (the per-event
+    cost when unset is one branch). *)
 
 val now : unit -> float
 (** Current simulation time, in seconds. Must be called inside {!run}. *)
@@ -110,23 +101,20 @@ val yield : unit -> unit
 val stop : unit -> unit
 (** Terminate the event loop after the current event completes. *)
 
-(** {1 Scheduler introspection}
+(** {1 Event-queue introspection}
 
     Cheap counters over the running engine, read by the observability
     layer's periodic sampler ([Leed_core.Obs]). All must be called
     inside {!run}. *)
 
 val events_dispatched : unit -> int
-(** Number of heap events executed since the current run started. *)
+(** Number of events executed since the current run started. *)
 
 val heap_depth : unit -> int
-(** Number of events currently pending on the scheduler (the name
-    predates pluggable schedulers; it is the pending-event count
-    whichever structure the run selected). *)
+(** Number of events currently waiting in the event queue. *)
 
 val max_pending_events : unit -> int
-(** High-water mark of {!heap_depth} since the current run started —
-    the "max pending" column of the scale benchmark. *)
+(** High-water mark of {!heap_depth} since the current run started. *)
 
 val processes_spawned : unit -> int
 (** Number of processes started with {!spawn} since the run started. *)

@@ -1,9 +1,10 @@
-(* Hierarchical timing wheel scheduler with an overflow heap.
+(* Hierarchical timing wheel with an overflow heap: the simulator's
+   event queue.
 
    Geometry: a sorted intrusive "front" list holding every event at or
    before the current front edge, three wheel levels of [w = 32768]
    slots each (spans of w, w^2 and w^3 ticks), and an overflow heap for
-   events beyond the w^3-tick horizon. With the default ~0.12 us tick
+   events beyond the w^3-tick horizon. With the ~0.12 us tick
    the levels cover ~3.9 ms / ~128 s / ~48 days, so virtually all
    timers a cluster simulation arms land inside the wheel; only far
    stragglers wait in the overflow heap until the edge approaches.
@@ -48,6 +49,8 @@
    - within the front list, Sched_event.before gives the (time, key,
      seq) total order. *)
 
+(* 1 / tick, for a tick of 2^-23 s (~0.12 us). *)
+let inv_tick = 0x1p23
 let lw = 15
 let w = 1 lsl lw
 let wmask = w - 1
@@ -55,7 +58,6 @@ let w2 = w * w
 let w3 = w * w * w
 
 type t = {
-  inv_tick : float; (* 1 / tick; tick is a power of two *)
   mutable edge : int; (* front edge as an absolute tick index *)
   mutable front : Sched_event.t; (* sorted intrusive list; events with a <= edge *)
   mutable front_tail : Sched_event.t; (* last cell; stale when front is nil *)
@@ -73,13 +75,12 @@ type t = {
    ticks. Times too far in the future for integer range clamp to a
    far index; they sit in the overflow heap (which orders by time
    exactly) until the clamp is irrelevant. *)
-let tick_of t time =
-  let q = time *. t.inv_tick in
+let tick_of time =
+  let q = time *. inv_tick in
   if q >= 4.0e18 then max_int / 2 else int_of_float q
 
-let create ?(tick = 0x1p-23) () =
+let create () =
   {
-    inv_tick = 1. /. tick;
     edge = 0;
     front = Sched_event.nil;
     front_tail = Sched_event.nil;
@@ -89,12 +90,11 @@ let create ?(tick = 0x1p-23) () =
     c0 = 0;
     c1 = 0;
     c2 = 0;
-    overflow = Event_heap.create ~capacity:64 ();
+    overflow = Event_heap.create ();
     count = 0;
   }
 
 let length t = t.count
-let is_empty t = t.count = 0
 
 (* Insertion point for [ev] in a sorted intrusive list after [prev].
    Top level with explicit arguments, not an inner closure: this is on
@@ -160,7 +160,7 @@ let place t (ev : Sched_event.t) =
   end
 
 let add t ev =
-  ev.Sched_event.tick <- tick_of t ev.Sched_event.time;
+  ev.Sched_event.tick <- tick_of ev.Sched_event.time;
   Sched_event.cache_time_bits ev;
   place t ev;
   t.count <- t.count + 1
@@ -219,7 +219,7 @@ let cascade2 t c =
 let rec drain_overflow t =
   if
     (not (Event_heap.is_empty t.overflow))
-    && tick_of t (Event_heap.peek_time t.overflow) - t.edge < w3
+    && tick_of (Event_heap.peek_time t.overflow) - t.edge < w3
   then begin
     place t (Event_heap.pop t.overflow);
     drain_overflow t
@@ -252,7 +252,7 @@ let rec advance t =
     (if t.c0 = 0 && t.c1 = 0 && t.c2 = 0 then
        (* Only far-future overflow remains: jump to just before its
           head; the next drain pulls it into the wheel. *)
-       t.edge <- max t.edge (tick_of t (Event_heap.peek_time t.overflow) - 1)
+       t.edge <- max t.edge (tick_of (Event_heap.peek_time t.overflow) - 1)
      else
        let next = t.edge + 1 in
        if next land (w2 - 1) = 0 then begin
@@ -318,8 +318,6 @@ let pop_until t limit =
       head
     end
   end
-
-let pop t = pop_until t infinity
 
 let peek_time t =
   if t.count = 0 then infinity

@@ -1,12 +1,13 @@
-(** Hierarchical timing wheel scheduler with an overflow heap.
+(** Hierarchical timing wheel with an overflow heap: the simulator's
+    event queue.
 
     A small sorted "front" list holds every event at or before the
     current edge; three 32768-slot wheel levels cover ~3.9 ms, ~128 s
-    and ~48 days beyond it (at the default ~0.12 us tick), and an
+    and ~48 days beyond it (at the ~0.12 us tick), and an
     overflow heap absorbs everything past that horizon. Adds are O(1); the
     amortised pop cost is independent of the total pending count, which
-    is where this scheduler beats the O(log n) binary heap at
-    cluster-scale pending populations.
+    is where it beats the O(log n) binary heap at cluster-scale pending
+    populations.
 
     Ordering contract: identical to {!Sched_event.before} — [(time,
     key, seq)] lexicographic — and bit-identical in dispatch order to
@@ -18,26 +19,18 @@
 type t
 (** A hierarchical timing wheel of {!Sched_event.t} cells. *)
 
-val create : ?tick:float -> unit -> t
-(** A fresh, empty wheel. [tick] (default [0x1p-23], ~0.12 us) is the
-    level-0 slot granularity and must be a power of two. A fine tick
-    matters at scale: per-tick occupancy bounds the sorted front-list
-    insert walk, which is quadratic in events per tick. *)
+val create : unit -> t
+(** A fresh, empty wheel. Its level-0 slot granularity is a fixed
+    [0x1p-23] s (~0.12 us) tick. A fine tick matters at scale: per-tick
+    occupancy bounds the sorted front-list insert walk, which is
+    quadratic in events per tick. *)
 
 val length : t -> int
 (** Number of events currently queued. *)
 
-val is_empty : t -> bool
-(** Whether no events are queued. *)
-
 val add : t -> Sched_event.t -> unit
-(** Insert an event cell; the wheel owns the cell until {!pop} returns
-    it. O(1). *)
-
-val pop : t -> Sched_event.t
-(** Remove and return the minimum event per {!Sched_event.before};
-    [Sched_event.nil] (test with [==]) when empty. Amortised O(1): a
-    head unlink from the sorted front list. *)
+(** Insert an event cell; the wheel owns the cell until {!pop_until}
+    returns it. O(1). *)
 
 val peek_time : t -> float
 (** Time of the earliest event without removing it; [infinity] when
@@ -47,4 +40,5 @@ val peek_time : t -> float
 val pop_until : t -> float -> Sched_event.t
 (** [pop_until w limit] pops the minimum event if its time is [<= limit];
     [Sched_event.nil] when the wheel is empty or the minimum lies beyond
-    [limit]. Fused peek-then-pop for the engine's hot loop. *)
+    [limit]. Fused peek-then-pop for the engine's hot loop. Amortised
+    O(1): a head unlink from the sorted front list. *)

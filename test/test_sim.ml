@@ -264,28 +264,164 @@ let test_every () =
   | exception _ -> ());
   Alcotest.(check int) "ticks" 5 !count
 
-(* --- Event heap property tests --- *)
+(* --- Event queue property tests --- *)
 
+let mk_event ~time ~key ~seq =
+  let ev = Sched_event.make () in
+  Sched_event.set_time ev time;
+  ev.Sched_event.key <- key;
+  ev.Sched_event.seq <- seq;
+  ev
+
+(* The heap is the reference the timing wheel is checked against, so its
+   whole ordering contract is pinned: time, then tie-break key, then
+   sequence number. Coarse times on a subset force equal-time ties, and
+   perturbed keys on a subset make the key decide them. *)
 let heap_sorts =
-  QCheck.Test.make ~name:"event heap pops in (time, seq) order" ~count:200
-    QCheck.(list (float_bound_inclusive 1000.))
-    (fun times ->
+  QCheck.Test.make ~name:"heap pops in (time, key, seq) order" ~count:200
+    QCheck.(list (triple bool (float_bound_inclusive 1000.) bool))
+    (fun evs ->
       let h = Event_heap.create () in
       List.iteri
-        (fun i t ->
-          let ev = Sched_event.make () in
-          Sched_event.set_time ev t;
-          ev.Sched_event.seq <- i;
-          Event_heap.add h ev)
-        times;
+        (fun seq (coarse, t, perturbed) ->
+          let time = if coarse then Float.of_int (truncate (t /. 100.)) else t in
+          let key = if perturbed then Rng.hash2 5 seq else 0 in
+          Event_heap.add h (mk_event ~time ~key ~seq))
+        evs;
       let rec drain acc =
         let e = Event_heap.pop h in
         if e == Sched_event.nil then List.rev acc
-        else drain ((Sched_event.time e, e.Sched_event.seq) :: acc)
+        else drain ((Sched_event.time e, e.Sched_event.key, e.Sched_event.seq) :: acc)
       in
       let out = drain [] in
-      let sorted = List.sort compare out in
-      out = sorted && List.length out = List.length times)
+      out = List.sort compare out && List.length out = List.length evs)
+
+(* Raw timing-wheel vs heap agreement. Every add lands at an offset from
+   the last popped time, drawn from one of the regimes below. The far
+   ones cross the wheel's structural limits at the default 2^-23 s tick:
+   level 2 ends 2^45 ticks (2^22 s, ~48 days) past the edge, beyond
+   which events wait in the overflow heap, and [tick_of] clamps times
+   past 4e18 ticks (~4.8e11 s) to one far tick index. *)
+type region =
+  | Same_instant
+  | Burst (* on a global 2^-10 s grid, so adds collide *)
+  | Near (* up to 10 ms *)
+  | Heartbeat (* 0.05-0.45 s *)
+  | Level2 (* 17-420 s *)
+  | Overflow (* straddling the level-2 horizon, clustered near it *)
+  | Clamped (* past the tick clamp, finite *)
+  | Infinite
+
+type wheel_op =
+  | Add of { region : region; u : float; perturbed : bool; check : bool }
+  | Pop of { limit : float option; check : bool }
+  | Drain
+
+let level2_horizon_s = 0x1p22
+let clamp_s = 4.0e18 *. 0x1p-23
+
+let time_of region u base =
+  match region with
+  | Same_instant -> base
+  | Burst ->
+      let q = 0x1p-10 in
+      Float.max base ((Float.floor (base /. q) +. Float.of_int (1 + truncate (u *. 4.))) *. q)
+  | Near -> base +. (u *. 0.01)
+  | Heartbeat -> base +. 0.05 +. (u *. 0.4)
+  | Level2 -> base +. 17. +. (u *. 403.)
+  | Overflow -> base +. (level2_horizon_s *. (0.99 +. (u *. u *. u)))
+  | Clamped -> base +. (clamp_s *. (1.05 +. (u *. 100.)))
+  | Infinite -> infinity
+
+let wheel_ops_gen =
+  let open QCheck.Gen in
+  let add regions =
+    map3
+      (fun region u (perturbed, check) -> Add { region; u; perturbed; check })
+      (frequency regions) (float_bound_exclusive 1.)
+      (pair (map (fun k -> k = 0) (int_bound 3)) bool)
+  in
+  let pop =
+    map2
+      (fun bounded (d, check) -> Pop { limit = (if bounded then Some d else None); check })
+      bool
+      (pair (float_bound_exclusive 0.5) bool)
+  in
+  let finite =
+    [
+      (15, return Same_instant);
+      (20, return Burst);
+      (25, return Near);
+      (12, return Heartbeat);
+      (10, return Level2);
+      (10, return Overflow);
+    ]
+  in
+  let far = (3, return Clamped) :: (1, return Infinite) :: finite in
+  (* Once a clamped or infinite event pops, every later add lands past
+     the clamp too, so those regimes only appear in a short tail. One
+     add of each far regime is always present. *)
+  let must region = Add { region; u = 0.5; perturbed = false; check = true } in
+  map2
+    (fun body tail -> body @ (must Overflow :: must Clamped :: must Infinite :: tail))
+    (list_size (int_range 2000 4000) (frequency [ (50, add finite); (48, pop); (1, return Drain) ]))
+    (list_size (int_range 50 300) (frequency [ (50, add far); (45, pop) ]))
+
+let wheel_matches_heap =
+  QCheck.Test.make ~name:"timing wheel pops exactly as the heap" ~count:30
+    (QCheck.make ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops)) wheel_ops_gen)
+    (fun ops ->
+      let h = Event_heap.create () in
+      let w = Timing_wheel.create () in
+      let seq = ref 0 and base = ref 0. and ok = ref true in
+      let beyond_level2 = ref 0 and beyond_clamp = ref 0 and infinite = ref 0 in
+      let bits = Int64.bits_of_float in
+      (* peek must agree bit for bit, infinity included *)
+      let check () =
+        if bits (Event_heap.peek_time h) <> bits (Timing_wheel.peek_time w) then ok := false
+      in
+      (* [limit] as [Sim.run ~until] passes it: nothing pops when the
+         minimum lies beyond it. *)
+      let pop limit =
+        let eh = if Event_heap.peek_time h <= limit then Event_heap.pop h else Sched_event.nil in
+        let ew = Timing_wheel.pop_until w limit in
+        if eh == Sched_event.nil || ew == Sched_event.nil then begin
+          if eh != ew then ok := false
+        end
+        else begin
+          if
+            eh.Sched_event.seq <> ew.Sched_event.seq
+            || eh.Sched_event.key <> ew.Sched_event.key
+            || bits (Sched_event.time eh) <> bits (Sched_event.time ew)
+          then ok := false;
+          base := Sched_event.time eh
+        end;
+        eh != Sched_event.nil
+      in
+      let step = function
+        | Add { region; u; perturbed; check = c } ->
+            incr seq;
+            let time = time_of region u !base in
+            if time -. !base >= level2_horizon_s then incr beyond_level2;
+            if time >= clamp_s then incr beyond_clamp;
+            if time = infinity then incr infinite;
+            let key = if perturbed then Rng.hash2 11 !seq else 0 in
+            Event_heap.add h (mk_event ~time ~key ~seq:!seq);
+            Timing_wheel.add w (mk_event ~time ~key ~seq:!seq);
+            if c then check ()
+        | Pop { limit; check = c } ->
+            ignore (pop (match limit with Some d -> !base +. d | None -> infinity));
+            if c then check ()
+        | Drain -> while pop infinity do () done
+      in
+      List.iter
+        (fun op ->
+          step op;
+          if Event_heap.length h <> Timing_wheel.length w then ok := false)
+        ops;
+      step Drain;
+      (* the inputs did cross the level-2 horizon and the tick clamp *)
+      !ok && Timing_wheel.length w = 0 && !beyond_level2 > 0 && !beyond_clamp > 0 && !infinite > 0)
 
 let rng_uniform_range =
   QCheck.Test.make ~name:"rng float stays in [0,1)" ~count:500 QCheck.small_int
@@ -385,6 +521,7 @@ let () =
           Alcotest.test_case "fork_join empty" `Quick test_fork_join_empty;
           Alcotest.test_case "every" `Quick test_every;
         ] );
-      qsuite "properties" [ heap_sorts; rng_uniform_range; rng_int_range; rng_split_independent ];
+      qsuite "properties"
+        [ heap_sorts; wheel_matches_heap; rng_uniform_range; rng_int_range; rng_split_independent ];
       ("rng", [ Alcotest.test_case "deterministic" `Quick rng_deterministic ]);
     ]

@@ -379,9 +379,7 @@ let doc_required_files =
     "lib/sim/sim.mli";
     "lib/sim/sched_event.mli";
     "lib/sim/event_heap.mli";
-    "lib/sim/calendar_queue.mli";
     "lib/sim/timing_wheel.mli";
-    "lib/sim/scheduler.mli";
     "lib/core/engine.mli";
     "lib/core/replication.mli";
     "lib/core/netcache.mli";
