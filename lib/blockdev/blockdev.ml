@@ -81,16 +81,25 @@ module Storage = struct
   let chunk_bits = 16
   let chunk_size = 1 lsl chunk_bits
 
-  type t = { chunks : (int, bytes) Hashtbl.t }
+  (* Chunk indices are small non-negative ints: hash them as themselves
+     instead of through the polymorphic [caml_hash]. *)
+  module Chunks = Hashtbl.Make (struct
+    type t = int
 
-  let create () = { chunks = Hashtbl.create 64 }
+    let equal = Int.equal
+    let hash i = i
+  end)
+
+  type t = { chunks : bytes Chunks.t }
+
+  let create () = { chunks = Chunks.create 64 }
 
   let chunk t i =
-    match Hashtbl.find_opt t.chunks i with
+    match Chunks.find_opt t.chunks i with
     | Some c -> c
     | None ->
         let c = Bytes.make chunk_size '\000' in
-        Hashtbl.add t.chunks i c;
+        Chunks.add t.chunks i c;
         c
 
   let write t ~off data =
@@ -111,20 +120,20 @@ module Storage = struct
       let abs = off + !pos in
       let ci = abs lsr chunk_bits and co = abs land (chunk_size - 1) in
       let n = min (len - !pos) (chunk_size - co) in
-      (match Hashtbl.find_opt t.chunks ci with
+      (match Chunks.find_opt t.chunks ci with
       | Some c -> Bytes.blit c co out !pos n
       | None -> Bytes.fill out !pos n '\000');
       pos := !pos + n
     done;
     out
 
-  let resident_bytes t = Hashtbl.length t.chunks * chunk_size
+  let resident_bytes t = Chunks.length t.chunks * chunk_size
 
   (* Chunk indices holding ever-written data, sorted so callers walking
      them stay deterministic regardless of hash-table order. *)
   let resident_chunks t =
     (* simlint: allow hashtbl-order *)
-    let ids = Hashtbl.fold (fun i _ acc -> i :: acc) t.chunks [] in
+    let ids = Chunks.fold (fun i _ acc -> i :: acc) t.chunks [] in
     List.sort compare ids
 end
 

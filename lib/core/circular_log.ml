@@ -70,6 +70,17 @@ let split_ranges t ~loff ~len =
 let committed_tail t =
   List.fold_left (fun acc (loff, _) -> min acc loff) t.tail t.outstanding
 
+(* Push [data] to the device at logical offset [loff]. A range that
+   does not wrap hands [data] itself to the device — no copy; only a
+   wrapping write is split into two fresh halves. *)
+let write_ranges t ~loff data =
+  match split_ranges t ~loff ~len:(Bytes.length data) with
+  | [ (p, _, _) ] -> Blockdev.write_seq t.dev ~off:p data
+  | ranges ->
+      List.iter
+        (fun (p, src_off, n) -> Blockdev.write_seq t.dev ~off:p (Bytes.sub data src_off n))
+        ranges
+
 let append t data =
   let len = Bytes.length data in
   if len > free t then
@@ -82,10 +93,7 @@ let append t data =
   t.tail <- t.tail + len;
   t.appended_bytes <- t.appended_bytes + len;
   t.outstanding <- (loff, len) :: t.outstanding;
-  (try
-     List.iter
-       (fun (p, src_off, n) -> Blockdev.write_seq t.dev ~off:p (Bytes.sub data src_off n))
-       (split_ranges t ~loff ~len)
+  (try write_ranges t ~loff data
    with e ->
      t.outstanding <- List.filter (fun (o, _) -> o <> loff) t.outstanding;
      raise e);
@@ -135,10 +143,7 @@ let write_reserved t ~loff data =
     t.outstanding <-
       List.filter (fun (o, l) -> not (o >= loff && o + l <= loff + len)) t.outstanding
   in
-  (try
-     List.iter
-       (fun (p, src_off, n) -> Blockdev.write_seq t.dev ~off:p (Bytes.sub data src_off n))
-       (split_ranges t ~loff ~len)
+  (try write_ranges t ~loff data
    with e ->
      settle ();
      raise e);
@@ -173,15 +178,20 @@ let check_readable t ~loff ~len =
       (Printf.sprintf "%s: read [%d,%d) outside readable range (head=%d tail=%d size=%d)" t.name
          loff (loff + len) t.head t.tail t.size)
 
+(* A range that does not wrap returns the device's own fresh buffer;
+   only a wrapping read is assembled into a copy. *)
 let read t ~loff ~len =
   check_readable t ~loff ~len;
-  let out = Bytes.create len in
-  List.iter
-    (fun (p, dst_off, n) ->
-      let part = Blockdev.read t.dev ~off:p ~len:n in
-      Bytes.blit part 0 out dst_off n)
-    (split_ranges t ~loff ~len);
-  out
+  match split_ranges t ~loff ~len with
+  | [ (p, _, _) ] -> Blockdev.read t.dev ~off:p ~len
+  | ranges ->
+      let out = Bytes.create len in
+      List.iter
+        (fun (p, dst_off, n) ->
+          let part = Blockdev.read t.dev ~off:p ~len:n in
+          Bytes.blit part 0 out dst_off n)
+        ranges;
+      out
 
 (* Move the head forward, reclaiming [n] bytes. Only compaction calls this,
    after relocating every live entry below the new head. *)

@@ -59,7 +59,12 @@ val truncate_torn : t -> unit
 val append : t -> bytes -> int
 (** Append at the tail (reserving the range first, so concurrent appends
     never interleave); returns the entry's logical offset. Blocks for the
-    device write. Raises {!Log_full}. *)
+    device write. Raises {!Log_full}.
+
+    Buffer contract: an append that does not wrap the region hands [data]
+    itself to the device, which reads it when the simulated write
+    completes. The caller must not mutate [data] before [append] returns
+    (every LEED caller passes a fresh encoding). *)
 
 val reserve : t -> int -> int
 (** Claim tail space immediately without writing — the first half of a
@@ -67,12 +72,15 @@ val reserve : t -> int -> int
 
 val write_reserved : t -> loff:int -> bytes -> unit
 (** Write a blob covering one or more contiguous reservations starting at
-    [loff]; all reservations fully inside it become durable. *)
+    [loff]; all reservations fully inside it become durable. Same buffer
+    contract as {!append}. *)
 
 val read : t -> loff:int -> len:int -> bytes
 (** Read [len] bytes at logical offset [loff]. Blocks for the device read.
-    Raises [Invalid_argument] if the range was never written or has been
-    physically overwritten by the wrap-around. *)
+    Returns a fresh buffer the caller owns (for a range that does not wrap,
+    the device's own read buffer, uncopied). Raises [Invalid_argument] if
+    the range was never written or has been physically overwritten by the
+    wrap-around. *)
 
 val phys : t -> int -> int
 (** Device offset backing logical offset [loff] — lets fault injection and

@@ -88,6 +88,22 @@ type vstate = {
   waiters : (unit -> unit) Queue.t;
 }
 
+(* Tables keyed by vnode and by physical node, hashed without the
+   polymorphic [caml_hash]: both are probed several times per op. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = Ring.vnode
+
+  let equal (a : t) (b : t) = a.Ring.node = b.Ring.node && a.Ring.vidx = b.Ring.vidx
+  let hash (v : t) = (v.Ring.node * 65599) + v.Ring.vidx
+end)
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i
+end)
+
 type t = {
   config : config;
   writer : int; (* unique writer id: the ABD tag tie-break *)
@@ -98,11 +114,11 @@ type t = {
   ring : Ring.t;
   peer : int -> (Messages.request, Messages.response) Rpc.t;
   refresh : unit -> Ring.snapshot;
-  vstates : (Ring.vnode, vstate) Hashtbl.t;
+  vstates : vstate Vtbl.t;
   rng : Rng.t; (* per-client deterministic jitter source *)
   (* per-destination (physical node) response-time histograms feeding the
      adaptive timeouts; the global one feeds the hedge delay *)
-  dest_hists : (int, Histogram.t) Hashtbl.t;
+  dest_hists : Histogram.t Itbl.t;
   global_hist : Histogram.t;
   (* control-plane pushed slow set: node -> escalation level
      (1 = deprioritize in CRRS spreading, 2 = drain entirely) *)
@@ -133,9 +149,9 @@ let create ?(config = default_config) ?(rng = Rng.create 77) ?(track = Trace.roo
       ring = Ring.create ();
       peer;
       refresh;
-      vstates = Hashtbl.create 64;
+      vstates = Vtbl.create 64;
       rng = Rng.split rng;
-      dest_hists = Hashtbl.create 16;
+      dest_hists = Itbl.create 16;
       global_hist = Histogram.create ();
       slow = Hashtbl.create 4;
       nacks = 0;
@@ -167,11 +183,11 @@ let backoff_time t = t.backoff
 (* --- gray-failure state --- *)
 
 let dest_hist t node =
-  match Hashtbl.find_opt t.dest_hists node with
-  | Some h -> h
-  | None ->
+  match Itbl.find t.dest_hists node with
+  | h -> h
+  | exception Not_found ->
       let h = Histogram.create () in
-      Hashtbl.replace t.dest_hists node h;
+      Itbl.replace t.dest_hists node h;
       h
 
 let record_latency t node dt =
@@ -184,7 +200,9 @@ let record_latency t node dt =
 let set_slow t ~node ~level =
   if level <= 0 then Hashtbl.remove t.slow node else Hashtbl.replace t.slow node level
 
-let slow_level t node = Option.value ~default:0 (Hashtbl.find_opt t.slow node)
+let slow_level t node =
+  if Hashtbl.length t.slow = 0 then 0
+  else Option.value ~default:0 (Hashtbl.find_opt t.slow node)
 
 (* Per-destination adaptive timeout: a few multiples of the destination's
    own tail quantile, clamped to [timeout_floor, rpc_timeout]. The floor
@@ -216,7 +234,7 @@ let hedge_delay t =
   else
     let best = ref infinity in
     (* simlint: allow hashtbl-order — min over the fold is order-independent *)
-    Hashtbl.iter
+    Itbl.iter
       (fun _node h ->
         if Histogram.count h >= hedge_min_samples then
           let q = Histogram.percentile h t.config.hedge_quantile in
@@ -229,11 +247,11 @@ let hedge_delay t =
     Some (Float.max t.config.hedge_floor q)
 
 let vstate t vn =
-  match Hashtbl.find_opt t.vstates vn with
-  | Some v -> v
-  | None ->
+  match Vtbl.find t.vstates vn with
+  | v -> v
+  | exception Not_found ->
       let v = { tokens = 4; outstanding = 0; waiters = Queue.create () } in
-      Hashtbl.replace t.vstates vn v;
+      Vtbl.replace t.vstates vn v;
       v
 
 let credit t vn tokens =
@@ -312,36 +330,47 @@ let issue t (e : Ring.entry) req =
       release_waiters t vn);
   resp
 
+(* CRRS ranking over the chain members not on node [exclude]:
+   lexicographic, lowest slow level first, most tokens second, earliest
+   member on ties. [best] is the suffix of the chain starting at the
+   current pick ([] = none yet), so the walk allocates nothing. *)
+let rec crrs_pick t exclude best bsl btok = function
+  | [] -> best
+  | (e : Ring.entry) :: rest as here ->
+      let node = e.Ring.owner.Ring.node in
+      if node = exclude then crrs_pick t exclude best bsl btok rest
+      else
+        let tok = (vstate t e.Ring.owner).tokens in
+        let sl = slow_level t node in
+        let first = match best with [] -> true | _ :: _ -> false in
+        if first || sl < bsl || (sl = bsl && tok > btok) then crrs_pick t exclude here sl tok rest
+        else crrs_pick t exclude best bsl btok rest
+
+(* Classic chain replication reads the tail: the last member not on
+   node [exclude], as a chain suffix like [crrs_pick]. *)
+let rec tail_pick exclude last = function
+  | [] -> last
+  | (e : Ring.entry) :: rest as here ->
+      tail_pick exclude (if e.Ring.owner.Ring.node = exclude then last else here) rest
+
+(* The read destination among the chain members not on node [exclude]
+   (-1 excludes nothing). *)
+let pick_replica t ~exclude chain =
+  let picked =
+    if t.config.crrs then crrs_pick t exclude [] 0 0 chain else tail_pick exclude [] chain
+  in
+  match picked with e :: _ -> Some e | [] -> None
+
 (* Pick the GET target: with CRRS, the replica advertising the most
    tokens among those not marked slow by the control plane (a slow node
    is used only when every alternative is at least as slow); otherwise
    (classic chain replication) the tail. *)
-let read_target t chain =
-  match chain with
-  | [] -> None
-  | _ ->
-      if t.config.crrs then begin
-        (* Lexicographic: lowest slow level first, most tokens second. *)
-        let better (sl, tok) (bsl, btok) = sl < bsl || (sl = bsl && tok > btok) in
-        let best = ref None in
-        List.iter
-          (fun (e : Ring.entry) ->
-            let score = (slow_level t e.Ring.owner.Ring.node, (vstate t e.Ring.owner).tokens) in
-            match !best with
-            | None -> best := Some (e, score)
-            | Some (_, bs) -> if better score bs then best := Some (e, score))
-          chain;
-        Option.map fst !best
-      end
-      else (match List.rev chain with e :: _ -> Some e | [] -> None)
+let read_target t chain = pick_replica t ~exclude:(-1) chain
 
 (* The hedge destination: best alternate chain member under the same
    ranking, excluding the primary's node. *)
 let hedge_target t chain (primary : Ring.entry) =
-  let alternates =
-    List.filter (fun (e : Ring.entry) -> e.Ring.owner.Ring.node <> primary.Ring.owner.Ring.node) chain
-  in
-  read_target t alternates
+  pick_replica t ~exclude:primary.Ring.owner.Ring.node chain
 
 (* Capped exponential backoff with deterministic per-client jitter: the
    nth retry sleeps min(cap, base·2ⁿ) scaled by a factor drawn uniformly

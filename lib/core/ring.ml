@@ -70,26 +70,30 @@ let successor_index t p =
    drain); Joining vnodes receive COPY traffic only. *)
 let serving e = match e.vstate with Running -> true | Joining | Leaving -> false
 
+(* Is physical [node] already among the picked entries? At most r - 1
+   of them, so a list walk beats any set structure. *)
+let rec node_picked node = function
+  | [] -> false
+  | e :: rest -> e.owner.node = node || node_picked node rest
+
+(* Walk step [i] of [n] from [start], with [k] entries picked so far.
+   Top level with explicit arguments so a lookup allocates only the
+   chain's own cons cells. *)
+let rec chain_walk entries n start r i k picked =
+  if k >= r || i >= n then List.rev picked
+  else
+    let j = start + i in
+    let e = entries.(if j >= n then j - n else j) in
+    if serving e && not (node_picked e.owner.node picked) then
+      chain_walk entries n start r (i + 1) (k + 1) (e :: picked)
+    else chain_walk entries n start r (i + 1) k picked
+
 (* The replica chain for a key: walk clockwise from the owning arc,
    collecting entries on distinct physical nodes. Joining vnodes are
    skipped — they join chains only once RUNNING. *)
 let chain_at t ~r p =
   let n = Array.length t.entries in
-  if n = 0 then []
-  else begin
-    let start = successor_index t p in
-    let picked = ref [] and seen_nodes = Hashtbl.create 8 in
-    let i = ref 0 in
-    while List.length !picked < r && !i < n do
-      let e = t.entries.((start + !i) mod n) in
-      if serving e && not (Hashtbl.mem seen_nodes e.owner.node) then begin
-        Hashtbl.add seen_nodes e.owner.node ();
-        picked := e :: !picked
-      end;
-      incr i
-    done;
-    List.rev !picked
-  end
+  if n = 0 then [] else chain_walk t.entries n (successor_index t p) r 0 0 []
 
 let chain t ~r key = chain_at t ~r (point_of_key key)
 

@@ -99,6 +99,15 @@ let before_bits a b =
      && (a.tlo < b.tlo
         || (a.tlo = b.tlo && (a.key < b.key || (a.key = b.key && a.seq < b.seq)))))
 
+(* The body of a withdrawn event: [Sim] compares a popped cell's [run]
+   against it physically and discards the cell undispatched, so it is
+   never actually called. *)
+let withdrawn () = invalid_arg "Sched_event: a withdrawn event was dispatched"
+
+(* Withdraw a queued cell: it keeps its place — time, key and seq are
+   untouched, so no live event moves — but drops its closure. *)
+let withdraw ev = ev.run <- withdrawn
+
 (* Drop closure/label references so a freelisted cell does not retain
    dead continuations or strings across simulations. *)
 let clear ev =

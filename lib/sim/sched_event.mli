@@ -65,6 +65,16 @@ val before_bits : t -> t -> bool
     because simulation times are nonnegative, where the IEEE-754 bit
     pattern is monotonic in the float value (ulp-exact, no epsilon). *)
 
+val withdrawn : unit -> unit
+(** The [run] of a withdrawn cell. The engine recognises it by physical
+    equality and discards the cell instead of dispatching it; calling it
+    raises [Invalid_argument]. *)
+
+val withdraw : t -> unit
+(** Withdraw a queued cell: replace its [run] with {!withdrawn}, dropping
+    the closure. Time, key and seq are untouched, so the cell keeps its
+    queue position and no live event's order changes. *)
+
 val clear : t -> unit
 (** Reset [label], [run] and [next] so a recycled cell retains no dead
     closures or strings. *)

@@ -87,7 +87,15 @@ let schedule ?label eng ~at run =
   ev.Sched_event.run <- run;
   Timing_wheel.add eng.queue ev;
   let pending = Timing_wheel.length eng.queue in
-  if pending > eng.max_pending then eng.max_pending <- pending
+  if pending > eng.max_pending then eng.max_pending <- pending;
+  ev
+
+(* A timer handle is the queued cell plus the seq it was scheduled
+   with. Cells are recycled once dispatched, so the seq check keeps a
+   stale handle — its timer already fired and the cell now carries a
+   newer event — from withdrawing that newer event. *)
+let withdraw (ev : Sched_event.t) seq =
+  if ev != Sched_event.nil && ev.Sched_event.seq = seq then Sched_event.withdraw ev
 
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
@@ -106,7 +114,7 @@ let exec : engine -> (unit -> unit) -> unit =
           | Delay t ->
               Some
                 (fun (k : (a, _) continuation) ->
-                  schedule eng ~at:(eng.now +. t) (fun () -> continue k ()))
+                  ignore (schedule eng ~at:(eng.now +. t) (fun () -> continue k ())))
           | Suspend register ->
               Some
                 (fun (k : (a, _) continuation) ->
@@ -118,7 +126,7 @@ let exec : engine -> (unit -> unit) -> unit =
                   register (fun v ->
                       if not !resumed then begin
                         resumed := true;
-                        schedule ~label eng ~at:eng.now (fun () -> continue k v)
+                        ignore (schedule ~label eng ~at:eng.now (fun () -> continue k v))
                       end))
           | _ -> None);
     }
@@ -134,12 +142,15 @@ let suspend register = Effect.perform (Suspend register)
 let spawn ?label f =
   let eng = get_engine () in
   eng.spawned <- eng.spawned + 1;
-  schedule ?label eng ~at:eng.now (fun () -> exec eng f)
+  ignore (schedule ?label eng ~at:eng.now (fun () -> exec eng f))
 
-(* Run [f] (non-blocking) after [t] seconds without creating a process. *)
-let after t f =
+(* Run [f] (non-blocking) after [t] seconds without creating a process;
+   [timer] returns the queued cell, for [withdraw]. *)
+let timer t f =
   let eng = get_engine () in
   schedule eng ~at:(eng.now +. t) f
+
+let after t f = ignore (timer t f)
 let yield () = Effect.perform (Delay 0.)
 
 let stop () =
@@ -174,10 +185,11 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?on_dispatch (main : unit
   (match checks with Some b -> Invariant.set_enabled b | None -> ());
   let result = ref None in
   let main_done = ref false in
-  schedule ~label:"main" eng ~at:0. (fun () ->
-      exec eng (fun () ->
-          result := Some (main ());
-          main_done := true));
+  ignore
+    (schedule ~label:"main" eng ~at:0. (fun () ->
+         exec eng (fun () ->
+             result := Some (main ());
+             main_done := true)));
   let finish () =
     current := saved;
     Invariant.set_enabled saved_checks
@@ -208,20 +220,27 @@ let run ?(until = infinity) ?checks ?(tiebreak = Fifo) ?on_dispatch (main : unit
          Sched_event.clear ev;
          ev.Sched_event.next <- eng.free;
          eng.free <- ev;
-         (* Guarded on [active] like the one in [schedule]: the off path
-            must not allocate the detail closure on every dispatch. *)
-         if Invariant.active () then
-           Invariant.require ~invariant:"event-time-monotonicity" ~time:eng.now
-             (time >= eng.now)
-             ~detail:(fun () ->
-               Printf.sprintf "event queue yielded an event at t=%.9g behind the clock" time);
-         eng.now <- time;
-         eng.dispatched <- eng.dispatched + 1;
-         eng.cur_label <- label;
-         (match eng.on_dispatch with
-         | None -> ()
-         | Some f -> f { d_time = time; d_seq = seq; d_label = label });
-         run ()
+         if run == Sched_event.withdrawn then
+           (* A withdrawn timer: discarded, not dispatched — no hook, no
+              count. The clock still moves to its time, exactly where
+              the no-op dispatch it replaces would have left it. *)
+           eng.now <- time
+         else begin
+           (* Guarded on [active] like the one in [schedule]: the off path
+              must not allocate the detail closure on every dispatch. *)
+           if Invariant.active () then
+             Invariant.require ~invariant:"event-time-monotonicity" ~time:eng.now
+               (time >= eng.now)
+               ~detail:(fun () ->
+                 Printf.sprintf "event queue yielded an event at t=%.9g behind the clock" time);
+           eng.now <- time;
+           eng.dispatched <- eng.dispatched + 1;
+           eng.cur_label <- label;
+           (match eng.on_dispatch with
+           | None -> ()
+           | Some f -> f { d_time = time; d_seq = seq; d_label = label });
+           run ()
+         end
        end
      done
    with e ->
@@ -281,14 +300,18 @@ module Ivar = struct
     | Full v -> v
     | Empty _ -> suspend (fun resume -> on_fill t resume)
 
-  (* [None] if the timeout elapses first. *)
+  (* [None] if the timeout elapses first. When the value wins, the
+     timer is withdrawn rather than left to fire as a no-op. *)
   let read_timeout t timeout =
     match t.state with
     | Full v -> Some v
     | Empty _ ->
         suspend (fun resume ->
-            on_fill t (fun v -> resume (Some v));
-            after timeout (fun () -> resume None))
+            let cell = timer timeout (fun () -> resume None) in
+            let seq = cell.Sched_event.seq in
+            on_fill t (fun v ->
+                withdraw cell seq;
+                resume (Some v)))
 end
 
 module Mailbox = struct
@@ -298,7 +321,12 @@ module Mailbox = struct
      representation appended to and filtered a plain list, which made a
      mailbox with n blocked receivers O(n) per operation. FIFO wake
      order is unchanged: live waiters wake strictly in arrival order. *)
-  type 'a waiter = { mutable cancelled : bool; wake : 'a -> unit }
+  type 'a waiter = {
+    mutable cancelled : bool;
+    wake : 'a -> unit;
+    mutable timer : Sched_event.t; (* [recv_timeout]'s timer, else nil *)
+    mutable timer_seq : int;
+  }
   type 'a t = { items : 'a Queue.t; waiters : 'a waiter Queue.t }
 
   let create () = { items = Queue.create (); waiters = Queue.create () }
@@ -314,7 +342,9 @@ module Mailbox = struct
   let send t v =
     match next_waiter t with
     | None -> Queue.push v t.items
-    | Some w -> w.wake v
+    | Some w ->
+        withdraw w.timer w.timer_seq;
+        w.wake v
 
   let try_recv t = if Queue.is_empty t.items then None else Some (Queue.pop t.items)
 
@@ -322,44 +352,66 @@ module Mailbox = struct
     match try_recv t with
     | Some v -> v
     | None ->
-        suspend (fun resume -> Queue.push { cancelled = false; wake = resume } t.waiters)
+        suspend (fun resume ->
+            Queue.push { cancelled = false; wake = resume; timer = Sched_event.nil; timer_seq = 0 }
+              t.waiters)
 
   let recv_timeout t timeout =
     match try_recv t with
     | Some v -> Some v
     | None ->
         suspend (fun resume ->
-            let w = { cancelled = false; wake = (fun v -> resume (Some v)) } in
+            let w =
+              {
+                cancelled = false;
+                wake = (fun v -> resume (Some v));
+                timer = Sched_event.nil;
+                timer_seq = 0;
+              }
+            in
             Queue.push w t.waiters;
-            after timeout (fun () ->
-                (* If the timeout loses the race this is a no-op thanks to
-                   the single-shot resume; but the waiter must be
-                   tombstoned so a later send is not swallowed. *)
-                w.cancelled <- true;
-                resume None))
+            (* [send] withdraws this timer when it wakes the waiter; if
+               the timer fires first, the waiter must be tombstoned so a
+               later send is not swallowed. *)
+            let cell =
+              timer timeout (fun () ->
+                  w.cancelled <- true;
+                  resume None)
+            in
+            w.timer <- cell;
+            w.timer_seq <- cell.Sched_event.seq)
 end
 
 module Resource = struct
   type waiter = { amount : int; wake : unit -> unit }
+
+  (* All-float, so OCaml stores both fields unboxed and [account]
+     updates them without allocating. *)
+  type integral = { mutable busy_area : float; mutable last_change : float }
 
   type t = {
     name : string;
     capacity : int;
     mutable in_use : int;
     queue : waiter Queue.t;
-    (* cumulative busy integral for utilisation reporting *)
-    mutable busy_area : float;
-    mutable last_change : float;
+    busy : integral; (* cumulative busy integral for utilisation reporting *)
   }
 
   let create ?(name = "resource") ~capacity () =
     if capacity <= 0 then invalid_arg "Resource.create: capacity must be positive";
-    { name; capacity; in_use = 0; queue = Queue.create (); busy_area = 0.; last_change = 0. }
+    {
+      name;
+      capacity;
+      in_use = 0;
+      queue = Queue.create ();
+      busy = { busy_area = 0.; last_change = 0. };
+    }
 
   let account t =
     let t_now = now () in
-    t.busy_area <- t.busy_area +. (float_of_int t.in_use *. (t_now -. t.last_change));
-    t.last_change <- t_now
+    let b = t.busy in
+    b.busy_area <- b.busy_area +. (float_of_int t.in_use *. (t_now -. b.last_change));
+    b.last_change <- t_now
 
   let in_use t = t.in_use
   let waiting t = Queue.length t.queue
@@ -372,26 +424,27 @@ module Resource = struct
       account t;
       t.in_use <- t.in_use + amount
     end
-    else
-      suspend (fun resume ->
-          Queue.push { amount; wake = (fun () -> resume ()) } t.queue)
+    else suspend (fun resume -> Queue.push { amount; wake = resume } t.queue)
 
   let release ?(amount = 1) t =
     account t;
     t.in_use <- t.in_use - amount;
     if t.in_use < 0 then invalid_arg (Printf.sprintf "Resource.release: %s under-released" t.name);
     (* Wake waiters strictly in FIFO order while they fit. *)
-    let rec wake () =
-      match Queue.peek_opt t.queue with
-      | Some w when t.in_use + w.amount <= t.capacity ->
+    let waking = ref true in
+    while !waking do
+      if Queue.is_empty t.queue then waking := false
+      else begin
+        let w = Queue.peek t.queue in
+        if t.in_use + w.amount > t.capacity then waking := false
+        else begin
           ignore (Queue.pop t.queue);
           account t;
           t.in_use <- t.in_use + w.amount;
-          w.wake ();
-          wake ()
-      | _ -> ()
-    in
-    wake ()
+          w.wake ()
+        end
+      end
+    done
 
   let with_ ?(amount = 1) t f =
     acquire ~amount t;
@@ -406,11 +459,11 @@ module Resource = struct
   let utilisation t =
     account t;
     if now () <= 0. then 0.
-    else t.busy_area /. (float_of_int t.capacity *. now ())
+    else t.busy.busy_area /. (float_of_int t.capacity *. now ())
 
   let busy_time t =
     account t;
-    t.busy_area
+    t.busy.busy_area
 end
 
 (* Spawn all thunks and block until every one has finished. *)

@@ -108,7 +108,9 @@ val stop : unit -> unit
     inside {!run}. *)
 
 val events_dispatched : unit -> int
-(** Number of events executed since the current run started. *)
+(** Number of events executed since the current run started. Withdrawn
+    timers (see {!Ivar.read_timeout}) are discarded, not executed, and
+    do not count. *)
 
 val heap_depth : unit -> int
 (** Number of events currently waiting in the event queue. *)
@@ -194,7 +196,9 @@ module Ivar : sig
   (** Block until filled. *)
 
   val read_timeout : 'a t -> float -> 'a option
-  (** Block until filled or the timeout elapses, whichever happens first. *)
+  (** Block until filled or the timeout elapses, whichever happens first.
+      If the value wins, the timer is withdrawn: it never dispatches and
+      is not counted by {!events_dispatched}. *)
 end
 
 (** Unbounded FIFO channels with blocking receive. *)
@@ -222,7 +226,9 @@ module Mailbox : sig
   (** Block until a value is available, then return the oldest. *)
 
   val recv_timeout : 'a t -> float -> 'a option
-  (** [None] if nothing arrives within the timeout. *)
+  (** [None] if nothing arrives within the timeout. A send that wakes
+      the receiver first withdraws the timer, as in
+      {!Ivar.read_timeout}. *)
 end
 
 (** Counted resources with FIFO admission (SimPy's [Resource]): models

@@ -2,7 +2,26 @@
 
    Values are bucketed geometrically with ratio [gamma]; percentile queries
    return the upper edge of the containing bucket, so the reported quantile
-   overestimates by at most (gamma - 1). *)
+   overestimates by at most (gamma - 1).
+
+   Quantile queries are O(1) amortised: each distinct [q] queried keeps
+   a rank cursor (a bucket index plus the cumulative count through that
+   bucket). [record] keeps every cursor's cumulative count exact, and a
+   query only walks its cursor the few buckets the rank moved since the
+   last query — the answer is the same bucket the linear scan from
+   bucket 0 would stop at. The client's hedge and timeout logic asks the
+   same two quantiles of every destination histogram on every GET, so
+   this is a hot path. *)
+
+(* Invariant: [cum] = sum of [counts.(0..idx)]; [idx = -1] means before
+   bucket 0, with [cum = 0]. *)
+type cursor = { q : float; mutable idx : int; mutable cum : int }
+
+(* A histogram queried at more distinct quantiles than this drops its
+   cursors and starts over: each cursor costs one compare-and-add per
+   [record], so a report that sweeps many quantiles once must not tax
+   every later record. *)
+let max_cursors = 4
 
 type t = {
   gamma : float;
@@ -13,6 +32,7 @@ type t = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
+  mutable cursors : cursor list;
 }
 
 let create ?(precision = 0.01) ?(floor = 1e-9) () =
@@ -27,6 +47,7 @@ let create ?(precision = 0.01) ?(floor = 1e-9) () =
     sum = 0.;
     min_v = infinity;
     max_v = neg_infinity;
+    cursors = [];
   }
 
 let bucket_of t v =
@@ -35,8 +56,15 @@ let bucket_of t v =
 (* Upper edge of bucket [i]: floor * gamma^i. *)
 let value_of t i = if i = 0 then t.floor else t.floor *. (t.gamma ** float_of_int i)
 
+let rec bump_cursors b count = function
+  | [] -> ()
+  | c :: rest ->
+      if c.idx >= b then c.cum <- c.cum + count;
+      bump_cursors b count rest
+
 let record ?(count = 1) t v =
   if v < 0. then invalid_arg "Histogram.record: negative value";
+  if count < 0 then invalid_arg "Histogram.record: negative count";
   let b = bucket_of t v in
   if b >= Array.length t.counts then begin
     let counts = Array.make (max (b + 1) (2 * Array.length t.counts)) 0 in
@@ -45,6 +73,7 @@ let record ?(count = 1) t v =
   end;
   t.counts.(b) <- t.counts.(b) + count;
   t.total <- t.total + count;
+  bump_cursors b count t.cursors;
   t.sum <- t.sum +. (v *. float_of_int count);
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
@@ -54,25 +83,34 @@ let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
 let min_value t = if t.total = 0 then 0. else t.min_v
 let max_value t = if t.total = 0 then 0. else t.max_v
 
-(* q in [0,1]; q=0.5 is the median. *)
+let rec cursor_for t q = function
+  | c :: rest -> if c.q = q then c else cursor_for t q rest
+  | [] ->
+      let c = { q; idx = -1; cum = 0 } in
+      t.cursors <- (if List.length t.cursors >= max_cursors then [ c ] else c :: t.cursors);
+      c
+
+(* q in [0,1]; q=0.5 is the median. The first bucket whose cumulative
+   count reaches rank [max 1 (ceil (q * total))], reported as its upper
+   edge clamped to the largest recorded value. *)
 let percentile t q =
   if q < 0. || q > 1. then invalid_arg "Histogram.percentile: q outside [0,1]";
   if t.total = 0 then 0.
   else begin
     let rank = int_of_float (ceil (q *. float_of_int t.total)) in
     let rank = max rank 1 in
-    let acc = ref 0 and result = ref t.max_v and found = ref false in
-    (try
-       for i = 0 to Array.length t.counts - 1 do
-         acc := !acc + t.counts.(i);
-         if !acc >= rank then begin
-           result := min (value_of t i) t.max_v;
-           found := true;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !found then !result else t.max_v
+    let c = cursor_for t q t.cursors in
+    let counts = t.counts in
+    let last = Array.length counts - 1 in
+    while c.cum < rank && c.idx < last do
+      c.idx <- c.idx + 1;
+      c.cum <- c.cum + counts.(c.idx)
+    done;
+    while c.idx >= 0 && c.cum - counts.(c.idx) >= rank do
+      c.cum <- c.cum - counts.(c.idx);
+      c.idx <- c.idx - 1
+    done;
+    if c.cum >= rank then min (value_of t c.idx) t.max_v else t.max_v
   end
 
 let median t = percentile t 0.5
@@ -83,6 +121,7 @@ let merge ~into src =
   (* Requires identical bucketing. *)
   if into.gamma <> src.gamma || into.floor <> src.floor then
     invalid_arg "Histogram.merge: incompatible configurations";
+  into.cursors <- [];
   if Array.length src.counts > Array.length into.counts then begin
     let counts = Array.make (Array.length src.counts) 0 in
     Array.blit into.counts 0 counts 0 (Array.length into.counts);
@@ -97,6 +136,7 @@ let merge ~into src =
   end
 
 let reset t =
+  t.cursors <- [];
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.total <- 0;
   t.sum <- 0.;

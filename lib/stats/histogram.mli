@@ -11,7 +11,7 @@ val create : ?precision:float -> ?floor:float -> unit -> t
     (default 1 ns) share bucket 0. *)
 
 val record : ?count:int -> t -> float -> unit
-(** Record a non-negative value ([count] occurrences). *)
+(** Record a non-negative value ([count] >= 0 occurrences). *)
 
 val count : t -> int
 
@@ -22,7 +22,9 @@ val min_value : t -> float
 val max_value : t -> float
 
 val percentile : t -> float -> float
-(** [percentile t q] for q in [0, 1]; within [precision] relative error. *)
+(** [percentile t q] for q in [0, 1]; within [precision] relative error.
+    Amortised O(1) when the same few [q] are asked repeatedly between
+    records: each keeps an exact rank cursor. *)
 
 val median : t -> float
 val p99 : t -> float

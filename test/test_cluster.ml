@@ -103,6 +103,78 @@ let ring_chain_prop =
           let lo, hi = Ring.arc_of r head in
           Ring.key_in_arc ~lo ~hi (key k))
 
+(* [Ring.chain_at] against a direct reading of its definition: from the
+   first entry at or clockwise after the point, take Running entries on
+   physical nodes not yet picked, until r are picked or the ring is
+   exhausted. *)
+let successor arr p =
+  let rec go i = if i >= Array.length arr then 0 else if arr.(i).Ring.point >= p then i else go (i + 1) in
+  go 0
+
+let reference_chain entries ~r p =
+  let arr = Array.of_list entries in
+  let n = Array.length arr in
+  if n = 0 then []
+  else begin
+    let start = successor arr p in
+    let picked = ref [] in
+    for i = 0 to n - 1 do
+      let e = arr.((start + i) mod n) in
+      if
+        List.length !picked < r
+        && e.Ring.vstate = Ring.Running
+        && not (List.exists (fun (x : Ring.entry) -> x.Ring.owner.Ring.node = e.Ring.owner.Ring.node) !picked)
+      then picked := e :: !picked
+    done;
+    List.rev !picked
+  end
+
+let ring_chain_reference_prop =
+  let vnode_gen =
+    (* per physical node 0-5: up to 4 vnodes, each with a state and a
+       point drawn from a narrow range, so collisions and wrap-around
+       are common *)
+    QCheck.Gen.(
+      list_size (int_range 0 6)
+        (list_size (int_range 0 4) (pair (int_range 0 2) (int_bound 1_000))))
+  in
+  QCheck.Test.make ~name:"chain_at matches the reference walk" ~count:300
+    (QCheck.make QCheck.Gen.(triple vnode_gen (int_range 0 8) (list_size (int_range 1 20) (int_bound 1_100))))
+    (fun (nodes, r, points) ->
+      let ring = Ring.create () in
+      List.iteri
+        (fun node vnodes ->
+          List.iteri
+            (fun vidx (state, point) ->
+              let e = Ring.add ~point ring { Ring.node; vidx } in
+              e.Ring.vstate <- (match state with 0 -> Ring.Joining | 1 -> Ring.Running | _ -> Ring.Leaving))
+            vnodes)
+        nodes;
+      let entries = Ring.entries ring in
+      let arr = Array.of_list entries in
+      (* clockwise distance of an entry from the point's successor *)
+      let offset p (e : Ring.entry) =
+        let rec idx i = if arr.(i) == e then i else idx (i + 1) in
+        (idx 0 - successor arr p + Array.length arr) mod Array.length arr
+      in
+      let rec increasing = function a :: (b :: _ as rest) -> a < b && increasing rest | _ -> true in
+      let serving_nodes =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (e : Ring.entry) -> if e.Ring.vstate = Ring.Running then Some e.Ring.owner.Ring.node else None)
+             entries)
+      in
+      List.for_all
+        (fun p ->
+          let chain = Ring.chain_at ring ~r p in
+          let nodes = List.map (fun (e : Ring.entry) -> e.Ring.owner.Ring.node) chain in
+          List.length chain = min (max r 0) (List.length serving_nodes)
+          && List.length (List.sort_uniq compare nodes) = List.length nodes
+          && List.for_all (fun (e : Ring.entry) -> e.Ring.vstate = Ring.Running) chain
+          && increasing (List.map (offset p) chain)
+          && List.equal ( == ) chain (reference_chain entries ~r p))
+        points)
+
 (* --- cluster helpers --- *)
 
 let quiet_store_config =
@@ -438,5 +510,5 @@ let () =
           Alcotest.test_case "crash detected and repaired" `Quick test_node_crash_recovers;
           Alcotest.test_case "reads during crash window" `Quick test_reads_during_crash_window;
         ] );
-      qsuite "properties" [ ring_chain_prop ];
+      qsuite "properties" [ ring_chain_prop; ring_chain_reference_prop ];
     ]

@@ -56,6 +56,66 @@ let test_bucket_crc () =
     | exception Codec.Corrupt _ -> ()
   done
 
+(* Byte-at-a-time, table-free CRC-32 (reflected, poly 0xEDB88320): the
+   reference the sliced Codec.crc32 must match bit for bit. *)
+let reference_crc32 ?(crc = 0) buf ~pos ~len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_matches_reference () =
+  Alcotest.(check int) "check value" 0xCBF43926
+    (Codec.crc32 (Bytes.of_string "123456789") ~pos:0 ~len:9);
+  let rng = Rng.create 2024 in
+  let random_bytes n = Bytes.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+  for words = 0 to 6 do
+    for tail = 0 to 7 do
+      for pos = 0 to 5 do
+        let len = (8 * words) + tail in
+        let buf = random_bytes (pos + len + Rng.int rng 4) in
+        let want = reference_crc32 buf ~pos ~len in
+        let got = Codec.crc32 buf ~pos ~len in
+        if got <> want then
+          Alcotest.failf "words=%d tail=%d pos=%d: %08x, reference %08x" words tail pos got want;
+        (* Chained over a split point, and from an arbitrary prior CRC. *)
+        let k = if len = 0 then 0 else Rng.int rng (len + 1) in
+        let first = Codec.crc32 buf ~pos ~len:k in
+        let chained = Codec.crc32 ~crc:first buf ~pos:(pos + k) ~len:(len - k) in
+        if chained <> want then Alcotest.failf "split at %d of %d: %08x, reference %08x" k len chained want;
+        let seed = Rng.int rng 0x3FFFFFFF in
+        let got = Codec.crc32 ~crc:seed buf ~pos ~len in
+        let want = reference_crc32 ~crc:seed buf ~pos ~len in
+        if got <> want then Alcotest.failf "from crc %08x: %08x, reference %08x" seed got want
+      done
+    done
+  done;
+  for _ = 1 to 50 do
+    let len = Rng.int rng 4096 in
+    let buf = random_bytes len in
+    Alcotest.(check int) "random buffer" (reference_crc32 buf ~pos:0 ~len) (Codec.crc32 buf ~pos:0 ~len)
+  done
+
+(* The on-flash bytes of one bucket frame, pinned: a checksum or layout
+   change would strand every frame already written. *)
+let test_bucket_frame_pinned () =
+  let items =
+    List.init 3 (fun i ->
+        { Codec.key = Printf.sprintf "k%015d" (7 * i); vlen = 1008; voff = 4096 * i; vdev = i - 1 })
+  in
+  let b =
+    { Codec.bindex = 0x1234ABCD; chain_len = 2; chain_pos = 1; seg_id = 42; log_head = 512;
+      log_tail = 8192; items }
+  in
+  let buf = Codec.encode_bucket b in
+  Alcotest.(check string) "crc field" "e558f295"
+    (Printf.sprintf "%08x" (Int32.to_int (Bytes.get_int32_le buf 34) land 0xFFFFFFFF));
+  Alcotest.(check string) "frame digest" "0c335b5277f78f27d55488a582dfa0b8" (Digest.to_hex (Digest.bytes buf))
+
 let test_value_entry_crc () =
   let ve = { Codec.ve_seg = 3; ve_key = "some-key"; ve_value = Bytes.make 200 'q' } in
   let buf = Codec.encode_value_entry ve in
@@ -256,6 +316,9 @@ let () =
           Alcotest.test_case "bucket CRC catches every bit flip" `Quick test_bucket_crc;
           Alcotest.test_case "value entry CRC catches every bit flip" `Quick
             test_value_entry_crc;
+          Alcotest.test_case "crc32 matches the byte-at-a-time reference" `Quick
+            test_crc32_matches_reference;
+          Alcotest.test_case "bucket frame bytes pinned" `Quick test_bucket_frame_pinned;
         ] );
       ( "blockdev",
         [ Alcotest.test_case "seeded bit-rot is deterministic" `Quick test_bitflip_determinism ] );

@@ -123,6 +123,84 @@ let test_ivar_timeout_wins () =
   in
   Alcotest.(check (option int)) "value" (Some 7) r
 
+(* --- withdrawn timers --- *)
+
+(* A timeout whose value won is withdrawn: its event never dispatches,
+   the hook never sees it, and events_dispatched does not count it. *)
+let test_withdrawn_timer_not_dispatched () =
+  let times = ref [] in
+  let r, dispatched =
+    Sim.run
+      ~on_dispatch:(fun d -> times := d.Sim.d_time :: !times)
+      (fun () ->
+        let iv = Sim.Ivar.create () in
+        Sim.spawn (fun () ->
+            Sim.delay 0.5;
+            Sim.Ivar.fill iv 7);
+        let r = Sim.Ivar.read_timeout iv 1.0 in
+        Sim.delay 2.0;
+        (r, Sim.events_dispatched ()))
+  in
+  Alcotest.(check (option int)) "value" (Some 7) r;
+  (* main, child, child wake-up, main resumed by the fill, main's delay *)
+  Alcotest.(check int) "dispatched" 5 dispatched;
+  Alcotest.(check (list (float 0.))) "no timer at t=1" [ 0.; 0.; 0.5; 0.5; 2.5 ] (List.rev !times)
+
+(* A handle outlives its timer when the timeout wins and the ivar is
+   filled later; by then the cell carries a newer event, which the stale
+   withdrawal must leave alone. *)
+let test_stale_handle_spares_recycled_cell () =
+  let r, fired =
+    Sim.run (fun () ->
+        let iv = Sim.Ivar.create () in
+        let r = Sim.Ivar.read_timeout iv 1.0 in
+        let fired = ref false in
+        (* Freed cells are reused last-in first-out: this timer takes the
+           cell the expired timeout (then main's wake-up) ran in. *)
+        Sim.after 0.5 (fun () -> fired := true);
+        Sim.Ivar.fill iv 3;
+        Sim.delay 1.0;
+        (r, !fired))
+  in
+  Alcotest.(check (option int)) "timed out" None r;
+  Alcotest.(check bool) "newer event still fires" true fired
+
+let test_recv_timeout_paths () =
+  let times = ref [] in
+  let got, expired, later =
+    Sim.run
+      ~on_dispatch:(fun d -> times := d.Sim.d_time :: !times)
+      (fun () ->
+        let mb = Sim.Mailbox.create () in
+        Sim.spawn (fun () ->
+            Sim.delay 0.5;
+            Sim.Mailbox.send mb 1);
+        let got = Sim.Mailbox.recv_timeout mb 1.0 in
+        Sim.delay 1.0;
+        let expired = Sim.Mailbox.recv_timeout mb 1.0 in
+        Sim.Mailbox.send mb 2;
+        (got, expired, Sim.Mailbox.try_recv mb))
+  in
+  Alcotest.(check (option int)) "send wins" (Some 1) got;
+  Alcotest.(check (option int)) "timeout wins" None expired;
+  Alcotest.(check (option int)) "later send queued" (Some 2) later;
+  Alcotest.(check bool) "won timer withdrawn" false (List.mem 1.0 !times);
+  Alcotest.(check bool) "lost timer fired" true (List.mem 2.5 !times)
+
+(* Withdrawn cells still sit in the queue until their time; draining
+   them must not hide a deadlock, and the clock ends where the no-op
+   timer would have left it. *)
+let test_deadlock_with_only_withdrawn_timers () =
+  Alcotest.check_raises "deadlock"
+    (Sim.Deadlock "main process blocked forever at t=10 with 1 spawned processes") (fun () ->
+      Sim.run (fun () ->
+          let iv = Sim.Ivar.create () in
+          Sim.spawn (fun () ->
+              Sim.delay 0.1;
+              Sim.Ivar.fill iv ());
+          ignore (Sim.Ivar.read_timeout iv 10.0);
+          Sim.suspend (fun _resume -> ())))
+
 (* --- Mailbox --- *)
 
 let test_mailbox_fifo () =
@@ -503,6 +581,16 @@ let () =
           Alcotest.test_case "double fill raises" `Quick test_ivar_double_fill_raises;
           Alcotest.test_case "timeout expires" `Quick test_ivar_timeout_expires;
           Alcotest.test_case "fill beats timeout" `Quick test_ivar_timeout_wins;
+        ] );
+      ( "timers",
+        [
+          Alcotest.test_case "withdrawn timer not dispatched" `Quick
+            test_withdrawn_timer_not_dispatched;
+          Alcotest.test_case "stale handle spares recycled cell" `Quick
+            test_stale_handle_spares_recycled_cell;
+          Alcotest.test_case "recv_timeout both paths" `Quick test_recv_timeout_paths;
+          Alcotest.test_case "deadlock with only withdrawn timers" `Quick
+            test_deadlock_with_only_withdrawn_timers;
         ] );
       ( "mailbox",
         [

@@ -82,6 +82,82 @@ let histogram_mean_matches_list =
       let expect = List.fold_left ( +. ) 0. values /. float_of_int (List.length values) in
       abs_float (Histogram.mean h -. expect) < 1e-6)
 
+(* Quantile cursors: a histogram that has been recorded into, queried,
+   merged into and reset in any interleaving answers every query exactly
+   as a fresh histogram built from the same records — whose first query
+   is a plain scan from bucket 0. *)
+type hist_op =
+  | Rec of float * int
+  | Query of float
+  | Merge of (float * int) list
+  | Reset
+
+let hist_value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.);
+        (1, float_range 0. 1e-9) (* at or below the 1 ns floor: bucket 0 *);
+        (4, float_range 1e-8 2e-5) (* inside the initial 1,024 buckets *);
+        (2, float_range 1e-4 10.) (* grows the count array past 1,024 *);
+      ])
+
+let hist_record_gen = QCheck.Gen.(pair hist_value_gen (frequency [ (3, return 1); (2, int_range 2 5) ]))
+
+let hist_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun (v, c) -> Rec (v, c)) hist_record_gen);
+        ( 5,
+          map (fun q -> Query q)
+            (oneofl [ 0.; 0.5; 0.95; 0.99; 1.; 0.95; 0.99; 0.25; 0.75; 0.999 ]) );
+        (1, map (fun rs -> Merge rs) (list_size (int_range 0 20) hist_record_gen));
+        (1, return Reset);
+      ])
+
+let print_hist_op = function
+  | Rec (v, c) -> Printf.sprintf "rec %h x%d" v c
+  | Query q -> Printf.sprintf "q %g" q
+  | Merge rs -> Printf.sprintf "merge[%d]" (List.length rs)
+  | Reset -> "reset"
+
+let histogram_cursor_matches_fresh =
+  QCheck.Test.make ~name:"percentile cursors answer as a fresh histogram" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_hist_op ops))
+       QCheck.Gen.(list_size (int_range 1 300) hist_op_gen))
+    (fun ops ->
+      let fresh records =
+        let h = Histogram.create () in
+        List.iter (fun (v, count) -> Histogram.record ~count h v) (List.rev records);
+        h
+      in
+      let h = Histogram.create () in
+      let records = ref [] in
+      List.for_all
+        (function
+          | Rec (v, count) ->
+              Histogram.record ~count h v;
+              records := (v, count) :: !records;
+              true
+          | Query q ->
+              let got = Histogram.percentile h q in
+              let want = Histogram.percentile (fresh !records) q in
+              Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+              || QCheck.Test.fail_reportf "q=%g: cursor %h, fresh %h" q got want
+          | Merge rs ->
+              let src = fresh rs in
+              ignore (Histogram.percentile src 0.5);
+              Histogram.merge ~into:h src;
+              records := List.rev_append rs !records;
+              true
+          | Reset ->
+              Histogram.reset h;
+              records := [];
+              true)
+        ops)
+
 let test_summary () =
   let s = Summary.create () in
   List.iter (Summary.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
@@ -124,5 +200,11 @@ let () =
       ("summary", [ Alcotest.test_case "moments" `Quick test_summary ]);
       ("report", [ Alcotest.test_case "formats" `Quick test_report_formats ]);
       qsuite "properties"
-        [ histogram_percentile_monotone; histogram_percentile_bounds; histogram_mean_matches_list; summary_mean_bounds ];
+        [
+          histogram_percentile_monotone;
+          histogram_percentile_bounds;
+          histogram_mean_matches_list;
+          histogram_cursor_matches_fresh;
+          summary_mean_bounds;
+        ];
     ]
