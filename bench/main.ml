@@ -9,9 +9,6 @@
      bench/main.exe micro           only the microbenchmarks
      bench/main.exe ycsb [backend]  YCSB-B through the unified KV_BACKEND
                                     path (leed/fawn/kvell; default all)
-     bench/main.exe trace [file]    YCSB-B on LEED twice (untraced, traced),
-                                    write the Chrome trace and report the
-                                    wall-clock overhead of capture
      bench/main.exe chaos [seed..]  seeded fault-injection runs (crash-restarts,
                                     partition, SSD degradation) under load, plus
                                     the fail-slow naive-vs-hedged tail comparison;
@@ -32,64 +29,10 @@
 
 open Leed_experiments
 
-(* --- minimal JSON emitter (no JSON library in the container) --- *)
+module Json = Leed_trace.Trace.Json
 
-module Json = struct
-  type t =
-    | Str of string
-    | Num of float
-    | Int of int
-    | Bool of bool
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape b s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 32 -> Printf.bprintf b "\\u%04x" (Char.code c)
-        | c -> Buffer.add_char b c)
-      s
-
-  let rec emit b = function
-    | Str s ->
-        Buffer.add_char b '"';
-        escape b s;
-        Buffer.add_char b '"'
-    | Num f ->
-        if Float.is_finite f then Printf.bprintf b "%.9g" f else Buffer.add_string b "null"
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Bool v -> Buffer.add_string b (string_of_bool v)
-    | List xs ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char b ',';
-            emit b x)
-          xs;
-        Buffer.add_char b ']'
-    | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            emit b (Str k);
-            Buffer.add_char b ':';
-            emit b v)
-          fields;
-        Buffer.add_char b '}'
-
-  let write file t =
-    let b = Buffer.create 4096 in
-    emit b t;
-    Buffer.add_char b '\n';
-    let oc = open_out file in
-    output_string oc (Buffer.contents b);
-    close_out oc
-end
+(* Integers go into the JSON tree as exact numbers. *)
+let int i = Json.Num (float_of_int i)
 
 let experiments =
   [
@@ -156,16 +99,16 @@ let ycsb ?jbofs backends =
         Json.Obj
           [
             ("backend", Json.Str name);
-            ("ops", Json.Int m.Backend.ops);
+            ("ops", int m.Backend.ops);
             ("sim_duration_s", Json.Num m.Backend.duration);
             ("throughput_ops_s", Json.Num m.Backend.throughput);
             ("avg_lat_s", Json.Num m.Backend.avg_lat);
             ("p99_s", Json.Num m.Backend.p99);
             ("p999_s", Json.Num m.Backend.p999);
-            ("nvme_accesses", Json.Int m.Backend.nvme_accesses);
+            ("nvme_accesses", int m.Backend.nvme_accesses);
             ("watts", Json.Num m.Backend.watts);
-            ("events", Json.Int events);
-            ("window_events", Json.Int window_events);
+            ("events", int events);
+            ("window_events", int window_events);
             ("wall_s", Json.Num wall);
             ("setup_wall_s", Json.Num setup_wall);
             ("window_wall_s", Json.Num window_wall);
@@ -174,53 +117,12 @@ let ycsb ?jbofs backends =
           ])
       backends
   in
-  Json.write "BENCH_ycsb.json"
+  Json.write_file "BENCH_ycsb.json"
     (Json.Obj
-       ([ ("bench", Json.Str "ycsb"); ("workload", Json.Str "YCSB-B"); ("object_size", Json.Int 1024) ]
-       @ (match jbofs with None -> [] | Some n -> [ ("jbofs", Json.Int n) ])
-       @ [ ("results", Json.List rows) ]));
+       ([ ("bench", Json.Str "ycsb"); ("workload", Json.Str "YCSB-B"); ("object_size", int 1024) ]
+       @ (match jbofs with None -> [] | Some n -> [ ("jbofs", int n) ])
+       @ [ ("results", Json.Arr rows) ]));
   Printf.printf "wrote BENCH_ycsb.json (%d backends)\n" (List.length rows)
-
-(* --- traced benchmark: capture one YCSB run and report the overhead --- *)
-
-(* One LEED YCSB-B measurement, used both untraced (baseline) and traced. *)
-let ycsb_leed_once () =
-  let open Leed_sim in
-  let open Leed_workload in
-  Sim.run (fun () ->
-      let nkeys, workers, window = ycsb_sizing "leed" in
-      let setup = Exp_common.setup_of_name ~nclients:4 "leed" in
-      Exp_common.preload setup ~nkeys ~value_size:1008;
-      let gen = Workload.generator ~object_size:1024 (Workload.ycsb_b ()) ~nkeys (Rng.create 9) in
-      Exp_common.measure_closed ~label:"leed" ~setup ~clients:workers
-        ~duration:(Exp_common.dur window) ~gen ())
-
-let trace_mode args =
-  let module Trace = Leed_trace.Trace in
-  let module Backend = Leed_core.Backend in
-  let out = match args with f :: _ -> f | [] -> "bench-trace.json" in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  print_endline "== traced YCSB-B (1KB) on LEED ==";
-  let m_off, wall_off = timed ycsb_leed_once in
-  Trace.start ();
-  let m_on, wall_on = timed ycsb_leed_once in
-  Trace.stop ();
-  Trace.write_file out;
-  Printf.printf "untraced: %.0f ops/s simulated, %.2f s wall\n" m_off.Backend.throughput wall_off;
-  Printf.printf "traced:   %.0f ops/s simulated, %.2f s wall (%+.0f%% wall overhead)\n"
-    m_on.Backend.throughput wall_on
-    (100. *. ((wall_on /. wall_off) -. 1.));
-  Printf.printf "wrote %d events to %s\n" (Trace.count ()) out;
-  (* Tracing must never perturb virtual time: same seed, same simulated
-     throughput, bit for bit. *)
-  if m_on.Backend.throughput <> m_off.Backend.throughput then begin
-    prerr_endline "bench trace: traced run diverged from untraced run (virtual-time perturbation)";
-    exit 1
-  end
 
 (* --- seeded chaos runs through the fault-injection subsystem --- *)
 
@@ -238,9 +140,9 @@ let chaos ~fast seeds =
         if not r.Chaos.ok then exit 1;
         Json.Obj
           [
-            ("seed", Json.Int seed);
-            ("ops", Json.Int r.Chaos.ops);
-            ("failed_ops", Json.Int r.Chaos.failed_ops);
+            ("seed", int seed);
+            ("ops", int r.Chaos.ops);
+            ("failed_ops", int r.Chaos.failed_ops);
             ("max_outage_s", Json.Num r.Chaos.max_outage);
             ("digest", Json.Str r.Chaos.digest);
             ("ok", Json.Bool r.Chaos.ok);
@@ -270,11 +172,11 @@ let chaos ~fast seeds =
         ("label", Json.Str p.Fig_failslow.label);
         ("get_p99_s", Json.Num r.C.get_p99);
         ("get_p999_s", Json.Num r.C.get_p999);
-        ("hedges", Json.Int r.C.hedges);
-        ("hedge_wins", Json.Int r.C.hedge_wins);
+        ("hedges", int r.C.hedges);
+        ("hedge_wins", int r.C.hedge_wins);
         ("hedge_rate", Json.Num hedge_rate);
-        ("sheds", Json.Int r.C.sheds);
-        ("slow_events", Json.Int r.C.slow_events);
+        ("sheds", int r.C.sheds);
+        ("slow_events", int r.C.slow_events);
         ("detection_latency_s", Json.Num r.C.detection_latency);
         ("ok", Json.Bool r.C.ok);
       ]
@@ -289,13 +191,13 @@ let chaos ~fast seeds =
         [ ("naive_p999_x", Json.Num (r naive)); ("hedged_p999_x", Json.Num (r hedged)) ]
     | _ -> []
   in
-  Json.write "BENCH_chaos.json"
+  Json.write_file "BENCH_chaos.json"
     (Json.Obj
        [
          ("bench", Json.Str "chaos");
          ("fast", Json.Bool fast);
-         ("seeds", Json.List seed_rows);
-         ("failslow", Json.Obj (ratios @ [ ("points", Json.List point_rows) ]));
+         ("seeds", Json.Arr seed_rows);
+         ("failslow", Json.Obj (ratios @ [ ("points", Json.Arr point_rows) ]));
        ]);
   Printf.printf "wrote BENCH_chaos.json (%d seeds, %d fail-slow points)\n" (List.length seed_rows)
     (List.length pts);
@@ -355,9 +257,9 @@ let repl ~fast seeds =
     Json.Obj
       [
         ("proto", Json.Str (R.proto_to_string proto));
-        ("seed", Json.Int seed);
-        ("ops", Json.Int r.C.ops);
-        ("failed_ops", Json.Int r.C.failed_ops);
+        ("seed", int seed);
+        ("ops", int r.C.ops);
+        ("failed_ops", int r.C.failed_ops);
         ("throughput_ops_s", Json.Num (throughput r));
         ("get_p99_s", Json.Num r.C.get_p99);
         ("get_p999_s", Json.Num r.C.get_p999);
@@ -365,25 +267,25 @@ let repl ~fast seeds =
         ("put_p999_s", Json.Num r.C.put_p999);
         ("write_hops", Json.Num (write_hops r));
         ("recovery_s", Json.Num r.C.max_outage);
-        ("quorum_rounds", Json.Int r.C.quorum_rounds);
-        ("writebacks", Json.Int r.C.writebacks);
-        ("lin_checked_keys", Json.Int r.C.lin_checked_keys);
-        ("lin_violations", Json.Int r.C.lin_violations);
-        ("failed_invariants", Json.List (List.map (fun s -> Json.Str s) r.C.failed_invariants));
+        ("quorum_rounds", int r.C.quorum_rounds);
+        ("writebacks", int r.C.writebacks);
+        ("lin_checked_keys", int r.C.lin_checked_keys);
+        ("lin_violations", int r.C.lin_violations);
+        ("failed_invariants", Json.Arr (List.map (fun s -> Json.Str s) r.C.failed_invariants));
         ("ok", Json.Bool r.C.ok);
         ("digest", Json.Str r.C.digest);
         ("wall_s", Json.Num wall);
       ]
   in
-  Json.write "BENCH_repl.json"
+  Json.write_file "BENCH_repl.json"
     (Json.Obj
        [
          ("bench", Json.Str "repl");
          ("fast", Json.Bool fast);
          ("duration_s", Json.Num base.Chaos.duration);
-         ("nnodes", Json.Int base.Chaos.nnodes);
-         ("r", Json.Int base.Chaos.r);
-         ("runs", Json.List (List.map row runs));
+         ("nnodes", int base.Chaos.nnodes);
+         ("r", int base.Chaos.r);
+         ("runs", Json.Arr (List.map row runs));
        ]);
   Printf.printf "wrote BENCH_repl.json (%d protocols x %d seeds)\n" (List.length R.all_protos)
     (List.length seeds);
@@ -421,23 +323,23 @@ let race ~fast names =
               ("target", Json.Str r.Race.target);
               ("passed", Json.Bool (Race.passed r));
               ("expect_divergence", Json.Bool r.Race.expect_divergence);
-              ("runs", Json.Int r.Race.runs);
-              ("divergences", Json.Int (List.length r.Race.divergences));
+              ("runs", int r.Race.runs);
+              ("divergences", int (List.length r.Race.divergences));
               ("base_digest", Json.Str r.Race.base_digest);
-              ("events", Json.Int r.Race.events);
+              ("events", int r.Race.events);
               ("wall_s", Json.Num wall);
               ( "events_per_s",
                 Json.Num (if wall > 0. then float_of_int total_events /. wall else 0.) );
             ] ))
       targets
   in
-  Json.write "BENCH_race.json"
+  Json.write_file "BENCH_race.json"
     (Json.Obj
        [
          ("bench", Json.Str "race");
-         ("runs", Json.Int runs);
+         ("runs", int runs);
          ("fast", Json.Bool fast);
-         ("results", Json.List (List.map snd rows));
+         ("results", Json.Arr (List.map snd rows));
        ]);
   Printf.printf "wrote BENCH_race.json (%d targets)\n" (List.length rows);
   if List.exists (fun (r, _) -> not (Leed_race.Race.passed r)) rows then begin
@@ -469,7 +371,6 @@ let cache_bench ~fast () =
   let open Leed_workload in
   let module Backend = Leed_core.Backend in
   let module Netcache = Leed_core.Netcache in
-  ignore fast;
   print_endline "== In-network cache: Zipf sweep + flash crowd (95/5 read/write, 1KB) ==";
   let nkeys = 4_000 and workers = 128 and window = 0.1 in
   (* Sized for this sweep's traffic (~1M gets/s over 4000 keys): 256
@@ -522,26 +423,27 @@ let cache_bench ~fast () =
             ~setup ~clients:workers ~duration:(Exp_common.dur window) ~gen ())
     in
     Exp_common.report_metrics m;
-    let lookups = m.Backend.cache_hits + m.Backend.cache_misses in
+    let c = m.Backend.counters in
+    let lookups = c.Backend.cache_hits + c.Backend.cache_misses in
     let hit_rate =
-      if lookups > 0 then float_of_int m.Backend.cache_hits /. float_of_int lookups else 0.
+      if lookups > 0 then float_of_int c.Backend.cache_hits /. float_of_int lookups else 0.
     in
     Json.Obj
       [
         ("scenario", Json.Str scenario);
         ("config", Json.Str label);
         ("theta", Json.Num theta);
-        ("ops", Json.Int m.Backend.ops);
+        ("ops", int m.Backend.ops);
         ("throughput_ops_s", Json.Num m.Backend.throughput);
         ("p99_s", Json.Num m.Backend.p99);
         ("p999_s", Json.Num m.Backend.p999);
-        ("cache_hits", Json.Int m.Backend.cache_hits);
-        ("cache_misses", Json.Int m.Backend.cache_misses);
+        ("cache_hits", int c.Backend.cache_hits);
+        ("cache_misses", int c.Backend.cache_misses);
         ("hit_rate", Json.Num hit_rate);
-        ("cache_invalidations", Json.Int m.Backend.cache_invalidations);
-        ("cache_sprays", Json.Int m.Backend.cache_sprays);
-        ("cache_hot_keys", Json.Int m.Backend.cache_hot_keys);
-        ("nvme_accesses", Json.Int m.Backend.nvme_accesses);
+        ("cache_invalidations", int c.Backend.cache_invalidations);
+        ("cache_sprays", int c.Backend.cache_sprays);
+        ("cache_hot_keys", int c.Backend.cache_hot_keys);
+        ("nvme_accesses", int m.Backend.nvme_accesses);
         ("watts", Json.Num m.Backend.watts);
         ("queries_per_joule", Json.Num m.Backend.queries_per_joule);
       ]
@@ -563,23 +465,22 @@ let cache_bench ~fast () =
       (fun (label, cached, crrs) -> cell ~scenario:"flash" ~theta:0.9 ~label ~cached ~crrs)
       cache_configs
   in
-  Json.write "BENCH_cache.json"
+  Json.write_file "BENCH_cache.json"
     (Json.Obj
        [
          ("bench", Json.Str "cache");
+         ("fast", Json.Bool fast);
          ("workload", Json.Str "95/5 read/write, 1KB");
-         ("nkeys", Json.Int nkeys);
-         ("thetas", Json.List (List.map (fun t -> Json.Num t) cache_thetas));
-         ("results", Json.List (sweep @ flash));
+         ("nkeys", int nkeys);
+         ("thetas", Json.Arr (List.map (fun t -> Json.Num t) cache_thetas));
+         ("results", Json.Arr (sweep @ flash));
        ]);
   Printf.printf "wrote BENCH_cache.json (%d rows)\n" (List.length sweep + List.length flash)
 
-(* Shape check for the CI gate: parse BENCH_cache.json back (through the
-   trace module's JSON parser, the repo's only reader) and check every
+(* Shape check for the CI gate: parse BENCH_cache.json back and check every
    (scenario x config) cell is present, all metrics finite, and the
    armed configs actually hit in the cache somewhere. *)
 let cache_validate file =
-  let module J = Leed_trace.Trace.Json in
   let fail msg =
     Printf.eprintf "%s: %s\n" file msg;
     exit 1
@@ -589,23 +490,23 @@ let cache_validate file =
     | s -> s
     | exception Sys_error e -> fail e
   in
-  match J.parse contents with
+  match Json.parse contents with
   | Error e -> fail ("parse error: " ^ e)
-  | Ok (J.Obj fields) ->
+  | Ok (Json.Obj fields) ->
       let str_field name = function
-        | J.Obj fs -> (match List.assoc_opt name fs with Some (J.Str s) -> Some s | _ -> None)
+        | Json.Obj fs -> (match List.assoc_opt name fs with Some (Json.Str s) -> Some s | _ -> None)
         | _ -> None
       in
       let num_field name = function
-        | J.Obj fs -> (
-            match List.assoc_opt name fs with Some (J.Num n) -> Some n | _ -> None)
+        | Json.Obj fs -> (
+            match List.assoc_opt name fs with Some (Json.Num n) -> Some n | _ -> None)
         | _ -> None
       in
-      if List.assoc_opt "bench" fields <> Some (J.Str "cache") then
+      if List.assoc_opt "bench" fields <> Some (Json.Str "cache") then
         fail "bench field is not \"cache\"";
       let rows =
         match List.assoc_opt "results" fields with
-        | Some (J.Arr rows) -> rows
+        | Some (Json.Arr rows) -> rows
         | _ -> fail "missing results array"
       in
       if rows = [] then fail "empty results array";
@@ -767,7 +668,6 @@ let () =
   | "ycsb" :: rest ->
       let jbofs, rest = extract_int_opt "--jbofs" rest in
       ycsb ?jbofs (if rest = [] then Exp_common.backend_names else rest)
-  | "trace" :: rest -> trace_mode rest
   | "chaos" :: rest -> chaos ~fast rest
   | "repl" :: rest -> repl ~fast rest
   | "race" :: rest -> race ~fast rest

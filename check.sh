@@ -73,16 +73,17 @@ echo "== race smoke (perturbed equal-time orderings, clean target + racy fixture
 dune exec bin/leed.exe -- race --fast --runs 8 --target chaos
 dune exec bin/leed.exe -- race --fast --runs 8 --target racy-demo
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== cache bench smoke (theta sweep + flash crowd + schema) =="
 # `cache fast` sweeps Zipf skew and a flash crowd across cache-off /
 # cache-only / cache+CRRS and writes BENCH_cache.json; the validator
 # checks every (scenario x config) cell is present, metrics are finite,
-# cache-off rows report no cache traffic, and some armed cell hit.
-dune exec bench/main.exe -- cache fast
-dune exec bench/main.exe -- cache-validate BENCH_cache.json
-
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# cache-off rows report no cache traffic, and some armed cell hit. It
+# runs in $tmp so the committed BENCH_cache.json stays as it is.
+bench="$PWD/_build/default/bench/main.exe"
+(cd "$tmp" && "$bench" cache fast && "$bench" cache-validate BENCH_cache.json)
 
 echo "== traced chaos smoke (capture under faults + schema validation) =="
 # Re-run the chaos schedule with the tracer armed and validate that the

@@ -48,7 +48,7 @@ let run backend_name workload_name object_size duration clients skew nkeys crrs 
   Printf.printf "  p99          %.1f us\n" (m.Backend.p99 *. 1e6);
   Printf.printf "  p99.9        %.1f us\n" (m.Backend.p999 *. 1e6);
   Printf.printf "  nvme         %d accesses (%d nacks, %d retries)\n" m.Backend.nvme_accesses
-    m.Backend.nacks m.Backend.retries;
+    m.Backend.counters.nacks m.Backend.counters.retries;
   Printf.printf "  cluster power %.1f W -> %.2f KQueries/Joule\n" m.Backend.watts
     (m.Backend.queries_per_joule /. 1e3)
 

@@ -205,50 +205,18 @@ let execute c (op : Leed_workload.Workload.op) =
 
 let total_objects t = Array.fold_left (fun acc n -> acc + Fawn_store.objects n.store) 0 t.nodes
 
+(* Static membership, one replica per store, no retry, hedging, cache or
+   gray-failure machinery: only device traffic, nacks and corruption. *)
 let counters t =
-  let nvme_reads = ref 0 and nvme_writes = ref 0 in
-  let busy = ref 0. in
-  Array.iter
-    (fun n ->
-      let s = Blockdev.stats n.dev in
-      nvme_reads := !nvme_reads + s.Blockdev.n_reads;
-      nvme_writes := !nvme_writes + s.Blockdev.n_writes;
-      busy := !busy +. Blockdev.busy_seconds n.dev)
-    t.nodes;
-  let ndevs = Array.length t.nodes in
   {
-    Backend.nvme_reads = !nvme_reads;
-    nvme_writes = !nvme_writes;
-    device_busy = (if ndevs > 0 then !busy /. float_of_int ndevs else 0.);
+    (Backend.of_devices (Array.to_list (Array.map (fun n -> n.dev) t.nodes))) with
     nacks = t.client_nacks;
-    retries = 0; (* classic FAWN front-ends do not retry *)
-    backoff_time = 0.;
-    (* static membership: no join/leave/failure machinery modeled *)
-    joins = 0;
-    leaves = 0;
-    failures_handled = 0;
-    (* single-replica stores: corruption nacks the op; no repair path *)
+    (* corruption nacks the op; there is no repair path *)
     corrupt_reads =
-      (t.corrupt_reads
+      t.corrupt_reads
       + Array.fold_left
           (fun acc n -> acc + (Fawn_store.counters n.store).Fawn_store.c_corrupt)
-          0 t.nodes);
-    read_repairs = 0;
-    scrubbed_segments = 0;
-    scrub_repairs = 0;
-    (* no hedging / deadline / gray-failure machinery in the baseline *)
-    hedges = 0;
-    hedge_wins = 0;
-    sheds = 0;
-    slow_events = 0;
-    quorum_rounds = 0;
-    writebacks = 0;
-    lin_checked_keys = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_invalidations = 0;
-    cache_sprays = 0;
-    cache_hot_keys = 0;
+          0 t.nodes;
   }
 
 let watts t ~util =

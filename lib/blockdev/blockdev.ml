@@ -127,7 +127,6 @@ module Storage = struct
     done;
     out
 
-  let resident_bytes t = Chunks.length t.chunks * chunk_size
 
   (* Chunk indices holding ever-written data, sorted so callers walking
      them stay deterministic regardless of hash-table order. *)

@@ -62,6 +62,22 @@ let no_counters =
 
 let nvme_accesses c = c.nvme_reads + c.nvme_writes
 
+let of_devices devs =
+  let module B = Leed_blockdev.Blockdev in
+  let reads, writes, busy, n =
+    List.fold_left
+      (fun (r, w, busy, n) d ->
+        let s = B.stats d in
+        (r + s.B.n_reads, w + s.B.n_writes, busy +. B.busy_seconds d, n + 1))
+      (0, 0, 0., 0) devs
+  in
+  {
+    no_counters with
+    nvme_reads = reads;
+    nvme_writes = writes;
+    device_busy = (if n > 0 then busy /. float_of_int n else 0.);
+  }
+
 let diff_counters ~after ~before =
   {
     nvme_reads = after.nvme_reads - before.nvme_reads;
@@ -102,28 +118,7 @@ type metrics = {
   p99 : float;
   p999 : float;
   nvme_accesses : int;
-  nacks : int;
-  retries : int;
-  backoff_time : float;
-  joins : int;
-  leaves : int;
-  failures_handled : int;
-  corrupt_reads : int;
-  read_repairs : int;
-  scrubbed_segments : int;
-  scrub_repairs : int;
-  hedges : int;
-  hedge_wins : int;
-  sheds : int;
-  slow_events : int;
-  quorum_rounds : int;
-  writebacks : int;
-  lin_checked_keys : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_invalidations : int;
-  cache_sprays : int;
-  cache_hot_keys : int;
+  counters : counters;
   watts : float;
   queries_per_joule : float;
 }
@@ -188,28 +183,7 @@ let measure ~label b run =
     p99 = Leed_stats.Histogram.percentile r.D.latency 0.99;
     p999 = Leed_stats.Histogram.percentile r.D.latency 0.999;
     nvme_accesses = nvme_accesses delta;
-    nacks = delta.nacks;
-    retries = delta.retries;
-    backoff_time = delta.backoff_time;
-    joins = delta.joins;
-    leaves = delta.leaves;
-    failures_handled = delta.failures_handled;
-    corrupt_reads = delta.corrupt_reads;
-    read_repairs = delta.read_repairs;
-    scrubbed_segments = delta.scrubbed_segments;
-    scrub_repairs = delta.scrub_repairs;
-    hedges = delta.hedges;
-    hedge_wins = delta.hedge_wins;
-    sheds = delta.sheds;
-    slow_events = delta.slow_events;
-    quorum_rounds = delta.quorum_rounds;
-    writebacks = delta.writebacks;
-    lin_checked_keys = delta.lin_checked_keys;
-    cache_hits = delta.cache_hits;
-    cache_misses = delta.cache_misses;
-    cache_invalidations = delta.cache_invalidations;
-    cache_sprays = delta.cache_sprays;
-    cache_hot_keys = delta.cache_hot_keys;
+    counters = delta;
     watts = w;
     queries_per_joule = (if w > 0. then r.D.throughput /. w else 0.);
   }

@@ -13,8 +13,12 @@
     Adding a backend = implement {!S}, then {!pack} it (see DESIGN.md
     "How to add a backend"). *)
 
-(** Cumulative service counters, uniform across backends. Deltas over a
-    measurement window feed the {!metrics} record. *)
+(** Cumulative service counters, uniform across backends — the one
+    declaration of every service metric. A backend fills the counters it
+    models and leaves the rest 0 (see {!of_devices}); deltas over a
+    measurement window form {!metrics.counters}. A new counter is a field
+    here, a line in {!no_counters} and {!diff_counters}, and the backend
+    that counts it. *)
 type counters = {
   nvme_reads : int;   (** block-device read commands issued (§3.3 accesses) *)
   nvme_writes : int;  (** block-device write commands issued *)
@@ -71,6 +75,13 @@ val nvme_accesses : counters -> int
 
 val diff_counters : after:counters -> before:counters -> counters
 
+val of_devices : Leed_blockdev.Blockdev.t list -> counters
+(** The device-side counters of a cluster's block devices: [nvme_reads]
+    and [nvme_writes] summed, [device_busy] the mean
+    {!Leed_blockdev.Blockdev.busy_seconds} (a left fold in list order;
+    0 for no devices). Every other counter is 0, so a backend reports
+    what it models as [{ (of_devices devs) with nacks; ... }]. *)
+
 (** The unified measurement record: driver-side load numbers combined
     with the backend's counter deltas and its modeled wall power. *)
 type metrics = {
@@ -83,28 +94,10 @@ type metrics = {
   p99 : float;
   p999 : float;
   nvme_accesses : int;       (** device commands during the window *)
-  nacks : int;
-  retries : int;
-  backoff_time : float;      (** seconds clients slept in retry backoff *)
-  joins : int;               (** membership events during the window *)
-  leaves : int;
-  failures_handled : int;
-  corrupt_reads : int;       (** checksum failures detected during the window *)
-  read_repairs : int;
-  scrubbed_segments : int;
-  scrub_repairs : int;
-  hedges : int;              (** hedged GETs fired during the window *)
-  hedge_wins : int;
-  sheds : int;               (** deadline sheds during the window *)
-  slow_events : int;         (** gray-failure escalations during the window *)
-  quorum_rounds : int;       (** ABD quorum round-trips during the window *)
-  writebacks : int;          (** ABD repair write-backs during the window *)
-  lin_checked_keys : int;    (** linearizability-checked keys (chaos only) *)
-  cache_hits : int;          (** in-network cache hits during the window *)
-  cache_misses : int;
-  cache_invalidations : int; (** write-driven cache evictions *)
-  cache_sprays : int;        (** HOT GETs sprayed across cache instances *)
-  cache_hot_keys : int;      (** hash groups HOT at window end (gauge) *)
+  counters : counters;
+      (** the window's counter deltas, [diff_counters] of the snapshots
+          taken around the run ([cache_hot_keys] is the end-of-window
+          gauge) *)
   watts : float;             (** modeled cluster wall power (paper's meters) *)
   queries_per_joule : float; (** throughput / watts — the paper's headline *)
 }

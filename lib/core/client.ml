@@ -130,7 +130,6 @@ type t = {
   mutable sheds : int;      (* ops abandoned on Deadline_exceeded *)
   mutable quorum_rounds : int; (* ABD quorum round-trips executed *)
   mutable writebacks : int;    (* ABD read-path repair write-backs *)
-  mutable throttled : float; (* cumulative seconds spent waiting for tokens *)
   mutable backoff : float;   (* cumulative seconds slept in retry backoff *)
 }
 
@@ -161,7 +160,6 @@ let create ?(config = default_config) ?(rng = Rng.create 77) ?(track = Trace.roo
       sheds = 0;
       quorum_rounds = 0;
       writebacks = 0;
-      throttled = 0.;
       backoff = 0.;
     }
   in
@@ -177,7 +175,6 @@ let hedge_wins t = t.hedge_wins
 let sheds t = t.sheds
 let quorum_rounds t = t.quorum_rounds
 let writebacks t = t.writebacks
-let throttled_time t = t.throttled
 let backoff_time t = t.backoff
 
 (* --- gray-failure state --- *)
@@ -268,7 +265,6 @@ let admit t vn cost =
   if not t.config.flow_control then ()
   else begin
     let v = vstate t vn in
-    let t0 = Sim.now () in
     let rec wait () =
       if v.tokens >= cost then v.tokens <- v.tokens - cost
       else if v.outstanding = 0 then v.tokens <- 0 (* Alg. 1 L12: probe *)
@@ -277,8 +273,7 @@ let admit t vn cost =
         wait ()
       end
     in
-    wait ();
-    t.throttled <- t.throttled +. (Sim.now () -. t0)
+    wait ()
   end
 
 let release_waiters t vn =

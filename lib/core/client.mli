@@ -127,9 +127,6 @@ val hedge_delay : t -> float option
     while hedging is disabled or the global histogram is cold. Exposed
     for tests. *)
 
-val throttled_time : t -> float
-(** Cumulative seconds spent blocked by Algorithm 1's token gate. *)
-
 val backoff_time : t -> float
 (** Cumulative seconds slept in retry backoff (exponential ramp). *)
 

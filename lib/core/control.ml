@@ -39,7 +39,6 @@ type t = {
   slow_detection : bool;
   slow_threshold : float; (* svc / median ratio that reads as slow *)
   slow_rounds_trigger : int; (* consecutive slow rounds per ladder rung *)
-  mutable on_failure : int -> unit;
   mutable running : bool;
   mutable joins : int;
   mutable leaves : int;
@@ -67,7 +66,6 @@ let create ?(r = 3) ?(heartbeat_period = 0.2) ?(miss_limit = 3) ?(slow_detection
     slow_detection;
     slow_threshold;
     slow_rounds_trigger;
-    on_failure = (fun _ -> ());
     running = false;
     joins = 0;
     leaves = 0;
@@ -80,7 +78,6 @@ let ring t = t.ring
 let r t = t.r
 let snapshot t = Ring.snapshot t.ring
 let register_client t c = t.clients <- c :: t.clients
-let set_on_failure t f = t.on_failure <- f
 
 let node t id = (Hashtbl.find t.nodes id).node
 
@@ -427,7 +424,6 @@ let handle_failure t dead_id =
   | Some ns -> ns.alive <- false
   | None -> ());
   t.failures_handled <- t.failures_handled + 1;
-  t.on_failure dead_id;
   ignore (leave t dead_id)
 
 (* --- crash-restart (§3.8.2) --- *)

@@ -33,9 +33,6 @@ val r : t -> int
 val snapshot : t -> Ring.snapshot
 val register_client : t -> Client.t -> unit
 
-val set_on_failure : t -> (int -> unit) -> unit
-(** Hook invoked when a node is declared dead, before chain repair. *)
-
 val node : t -> int -> Node.t
 val node_ids : t -> int list
 val peer_resolver : t -> int -> (Messages.request, Messages.response) Leed_netsim.Netsim.Rpc.t

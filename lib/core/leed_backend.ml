@@ -3,7 +3,6 @@
    the backend-generic service boundary. *)
 
 open Leed_platform
-open Leed_blockdev
 
 type config = Cluster.config
 type t = Cluster.t
@@ -25,104 +24,51 @@ let execute = Client.execute
 let total_objects = Cluster.total_objects
 
 let counters t =
-  let nvme_reads = ref 0 and nvme_writes = ref 0 in
-  let busy = ref 0. and ndevs = ref 0 in
-  List.iter
-    (fun n ->
-      Array.iter
-        (fun d ->
-          let s = Blockdev.stats d in
-          nvme_reads := !nvme_reads + s.Blockdev.n_reads;
-          nvme_writes := !nvme_writes + s.Blockdev.n_writes;
-          busy := !busy +. Blockdev.busy_seconds d;
-          incr ndevs)
-        (Engine.devices (Node.engine n)))
-    (Cluster.nodes t);
-  let nacks, retries, backoff_time =
-    List.fold_left
-      (fun (n, r, b) c -> (n + Client.nacks c, r + Client.retries c, b +. Client.backoff_time c))
-      (0, 0, 0.) (Cluster.clients t)
+  let nodes = Cluster.nodes t and clients = Cluster.clients t in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let node_sum f = sum (fun n -> f (Node.stats n)) nodes in
+  let client_sum f = sum f clients in
+  let engine_sum arr f =
+    sum (fun n -> Array.fold_left (fun acc x -> acc + f x) 0 (arr (Node.engine n))) nodes
   in
   let cs = Control.stats (Cluster.control t) in
-  let corrupt = ref 0 in
-  List.iter
-    (fun n ->
-      Array.iter
-        (fun p -> corrupt := !corrupt + (Store.counters (Engine.store p)).Store.corrupt)
-        (Engine.partitions (Node.engine n)))
-    (Cluster.nodes t);
-  let rr, scrubbed, srep =
-    List.fold_left
-      (fun (rr, sc, sr) n ->
-        let s = Node.stats n in
-        (rr + s.Node.n_read_repairs, sc + s.Node.n_scrubbed_segments, sr + s.Node.n_scrub_repairs))
-      (0, 0, 0) (Cluster.nodes t)
+  let c =
+    {
+      (Backend.of_devices
+         (List.concat_map (fun n -> Array.to_list (Engine.devices (Node.engine n))) nodes))
+      with
+      nacks = client_sum Client.nacks;
+      retries = client_sum Client.retries;
+      backoff_time = List.fold_left (fun b c -> b +. Client.backoff_time c) 0. clients;
+      joins = cs.Control.n_joins;
+      leaves = cs.Control.n_leaves;
+      failures_handled = cs.Control.n_failures_handled;
+      corrupt_reads =
+        engine_sum Engine.partitions (fun p -> (Store.counters (Engine.store p)).Store.corrupt);
+      read_repairs = node_sum (fun s -> s.Node.n_read_repairs);
+      scrubbed_segments = node_sum (fun s -> s.Node.n_scrubbed_segments);
+      scrub_repairs = node_sum (fun s -> s.Node.n_scrub_repairs);
+      hedges = client_sum Client.hedges;
+      hedge_wins = client_sum Client.hedge_wins;
+      sheds =
+        client_sum Client.sheds + engine_sum Engine.ssds (fun s -> (Engine.ssd_stats s).Engine.shed);
+      slow_events = cs.Control.n_slow_events;
+      quorum_rounds = client_sum Client.quorum_rounds;
+      writebacks = client_sum Client.writebacks;
+    }
   in
-  let hedges, hedge_wins, client_sheds =
-    List.fold_left
-      (fun (h, w, s) c -> (h + Client.hedges c, w + Client.hedge_wins c, s + Client.sheds c))
-      (0, 0, 0) (Cluster.clients t)
-  in
-  let quorum_rounds, writebacks =
-    List.fold_left
-      (fun (q, w) c -> (q + Client.quorum_rounds c, w + Client.writebacks c))
-      (0, 0) (Cluster.clients t)
-  in
-  let cache =
-    match Cluster.cache t with
-    | Some c -> Netcache.stats c
-    | None ->
-        {
-          Netcache.hits = 0;
-          misses = 0;
-          invalidations = 0;
-          sprays = 0;
-          populates = 0;
-          evictions = 0;
-          expirations = 0;
-          promotes = 0;
-          demotes = 0;
-          hot_groups = 0;
-          resident = 0;
-        }
-  in
-  let engine_sheds =
-    List.fold_left
-      (fun acc n ->
-        Array.fold_left
-          (fun acc s -> acc + (Engine.ssd_stats s).Engine.shed)
-          acc
-          (Engine.ssds (Node.engine n)))
-      0 (Cluster.nodes t)
-  in
-  {
-    Backend.nvme_reads = !nvme_reads;
-    nvme_writes = !nvme_writes;
-    device_busy = (if !ndevs > 0 then !busy /. float_of_int !ndevs else 0.);
-    nacks;
-    retries;
-    backoff_time;
-    joins = cs.Control.n_joins;
-    leaves = cs.Control.n_leaves;
-    failures_handled = cs.Control.n_failures_handled;
-    corrupt_reads = !corrupt;
-    read_repairs = rr;
-    scrubbed_segments = scrubbed;
-    scrub_repairs = srep;
-    hedges;
-    hedge_wins;
-    sheds = client_sheds + engine_sheds;
-    slow_events = cs.Control.n_slow_events;
-    quorum_rounds;
-    writebacks;
-    (* the chaos harness owns the history recorder; see Fault.Chaos *)
-    lin_checked_keys = 0;
-    cache_hits = cache.Netcache.hits;
-    cache_misses = cache.Netcache.misses;
-    cache_invalidations = cache.Netcache.invalidations;
-    cache_sprays = cache.Netcache.sprays;
-    cache_hot_keys = cache.Netcache.hot_groups;
-  }
+  match Cluster.cache t with
+  | None -> c
+  | Some nc ->
+      let s = Netcache.stats nc in
+      {
+        c with
+        cache_hits = s.Netcache.hits;
+        cache_misses = s.Netcache.misses;
+        cache_invalidations = s.Netcache.invalidations;
+        cache_sprays = s.Netcache.sprays;
+        cache_hot_keys = s.Netcache.hot_groups;
+      }
 
 let watts t ~util =
   let nnodes = List.length (Cluster.nodes t) in

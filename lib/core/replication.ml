@@ -541,5 +541,3 @@ module Crrs_impl = struct
 end
 
 module Crrs_protocol : S = Crrs_impl
-
-let protocol_name (module P : S) = proto_to_string P.proto

@@ -206,5 +206,3 @@ module Crrs_protocol : S
     reads of partially written keys through the tail, keeping the chain
     linearizable when a mid-chain hop fails after the head applied. *)
 
-val protocol_name : (module S) -> string
-(** The [--proto] spelling of a packed protocol. *)

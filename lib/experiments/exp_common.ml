@@ -171,19 +171,8 @@ let report_metrics (m : Backend.metrics) =
     (m.Backend.avg_lat *. 1e3)
     (m.Backend.p99 *. 1e3)
     (m.Backend.p999 *. 1e3)
-    m.Backend.nvme_accesses m.Backend.nacks m.Backend.retries m.Backend.watts
+    m.Backend.nvme_accesses m.Backend.counters.nacks m.Backend.counters.retries m.Backend.watts
     (m.Backend.queries_per_joule /. 1e3)
-
-(* --- energy: the paper's measured wall power per platform --- *)
-
-let cluster_watts platform nnodes = float_of_int nnodes *. Platform.wall_power platform ~util:1.0
-
-let queries_per_joule ~throughput ~watts = throughput /. watts
-
-(* Default scaled experiment sizes. *)
-let default_nkeys = 10_000
-let default_duration = 0.25
-let default_clients = 96
 
 (* Reviewed singleton: CLI-scoped knob set once at process start (before
    any Sim.run) by `leed experiment --fast` / `bench fast`, read-only

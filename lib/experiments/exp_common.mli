@@ -136,16 +136,7 @@ val measure_open :
 val report_metrics : Backend.metrics -> unit
 (** One-line dump of the unified metrics record. *)
 
-(** {1 Energy and default sizes} *)
-
-val cluster_watts : Leed_platform.Platform.t -> int -> float
-(** The paper's measured wall power: per-platform watts × node count. *)
-
-val queries_per_joule : throughput:float -> watts:float -> float
-
-val default_nkeys : int
-val default_duration : float
-val default_clients : int
+(** {1 Window scaling} *)
 
 val time_scale : float ref
 (** Global knob for quick runs: multiplies every measurement window

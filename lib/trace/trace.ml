@@ -273,16 +273,21 @@ let add_arg b = function
   | Str s -> add_str b s
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
 
-let add_args b args =
-  Buffer.add_string b "{";
+let add_seq b opening closing add_one l =
+  Buffer.add_char b opening;
   List.iteri
-    (fun i (k, v) ->
+    (fun i x ->
       if i > 0 then Buffer.add_char b ',';
-      add_str b k;
-      Buffer.add_char b ':';
-      add_arg b v)
-    args;
-  Buffer.add_char b '}'
+      add_one x)
+    l;
+  Buffer.add_char b closing
+
+let add_field add_value b (k, v) =
+  add_str b k;
+  Buffer.add_char b ':';
+  add_value b v
+
+let add_args b args = add_seq b '{' '}' (add_field add_arg b) args
 
 let add_event b ev =
   Buffer.add_string b "{\"ph\":\"";
@@ -330,7 +335,7 @@ let write_file path =
   output_string oc (to_json ());
   close_out oc
 
-(* --- minimal JSON parser + schema validator --- *)
+(* --- the repo's JSON value: emitter, parser, trace schema validator --- *)
 
 module Json = struct
   type t =
@@ -340,6 +345,30 @@ module Json = struct
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
+
+  (* Integral numbers print exactly, other finite ones with nine
+     significant digits, non-finite ones (which JSON cannot spell) as
+     null. *)
+  let rec add b = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (string_of_bool v)
+    | Num f when Float.is_integer f && Float.abs f < 1e15 -> Printf.bprintf b "%.0f" f
+    | Num f when Float.is_finite f -> Printf.bprintf b "%.9g" f
+    | Num _ -> Buffer.add_string b "null"
+    | Str s -> add_str b s
+    | Arr l -> add_seq b '[' ']' (add b) l
+    | Obj kv -> add_seq b '{' '}' (add_field add b) kv
+
+  let to_string j =
+    let b = Buffer.create 4096 in
+    add b j;
+    Buffer.contents b
+
+  let write_file path j =
+    let oc = open_out_bin path in
+    output_string oc (to_string j);
+    output_char oc '\n';
+    close_out oc
 
   exception Err of int * string
 

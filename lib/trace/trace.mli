@@ -187,14 +187,15 @@ val to_json : unit -> string
 val write_file : string -> unit
 (** Write {!to_json} to a file. *)
 
-(** {1 Validation}
+(** {1 JSON and validation}
 
-    A hand-rolled JSON parser (the environment has no JSON library) and
-    a schema checker for files produced by {!write_file}, used by the
-    [leed trace-validate] CLI and check.sh. *)
+    A hand-rolled JSON value with an emitter and a parser (the
+    environment has no JSON library), used by every [BENCH_*.json]
+    writer and reader, and a schema checker for files produced by
+    {!write_file}, used by the [leed trace-validate] CLI and check.sh. *)
 
 module Json : sig
-  (** Minimal JSON syntax tree. *)
+  (** Minimal JSON syntax tree — the repo's one JSON value type. *)
   type t =
     | Null
     | Bool of bool
@@ -202,6 +203,18 @@ module Json : sig
     | Str of string
     | Arr of t list
     | Obj of (string * t) list
+
+  val to_string : t -> string
+  (** Compact rendering, fields in list order: integral numbers below
+      1e15 print exactly, other finite numbers with nine significant
+      digits ([%.9g]), non-finite numbers as [null]; strings escape
+      quotes, backslashes and control characters. [parse (to_string j)]
+      gives back [j] whenever every number in [j] survives [%.9g]. *)
+
+  val write_file : string -> t -> unit
+  (** [write_file path j] writes {!to_string}[ j] and a newline to
+      [path], replacing it. The [BENCH_*.json] artifacts go through this;
+      the Chrome trace writer streams its events instead. *)
 
   val parse : string -> (t, string) result
   (** Parse a complete JSON document; [Error] carries a message with an

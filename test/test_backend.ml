@@ -95,10 +95,53 @@ let deterministic_metrics name () =
   Alcotest.(check (float 0.)) "avg latency" m1.Backend.avg_lat m2.Backend.avg_lat;
   Alcotest.(check (float 0.)) "p99" m1.Backend.p99 m2.Backend.p99;
   Alcotest.(check int) "nvme accesses" m1.Backend.nvme_accesses m2.Backend.nvme_accesses;
-  Alcotest.(check int) "nacks" m1.Backend.nacks m2.Backend.nacks;
-  Alcotest.(check int) "retries" m1.Backend.retries m2.Backend.retries;
+  Alcotest.(check bool) "window counters identical" true (m1.Backend.counters = m2.Backend.counters);
   Alcotest.(check (float 0.)) "watts" m1.Backend.watts m2.Backend.watts;
   Alcotest.(check int) "total objects" o1 o2
+
+(* [measure]'s counters are exactly the delta of snapshots taken around
+   the same run, except the hot-set gauge, which keeps its end value. A
+   cache-armed LEED cluster under skewed reads makes every kind of
+   counter move. *)
+let measure_is_snapshot_delta () =
+  Sim.run (fun () ->
+      let cache =
+        Netcache.enabled
+          {
+            Netcache.default_config with
+            Netcache.instances = 2;
+            capacity = 64;
+            groups = 64;
+            window = 0.005;
+            warm_up = 10;
+            warm_down = 5;
+            hot_up = 30;
+            hot_down = 15;
+          }
+      in
+      let setup = Exp_common.make_leed ~nclients:2 ~cache () in
+      let b = setup.Exp_common.backend in
+      Exp_common.preload setup ~nkeys:400 ~value_size:vsize;
+      let gen =
+        Workload.generator ~object_size:256
+          (Workload.read_write ~read:0.95 ~theta:0.99)
+          ~nkeys:400 (Rng.create 7)
+      in
+      let window label = Exp_common.measure_closed ~label ~setup ~clients:16 ~duration:0.03 ~gen () in
+      (* a first window heats the cache, so the gauge is live at [before] *)
+      ignore (window "warm-up");
+      let before = Backend.counters b in
+      let m = window "delta" in
+      let after = Backend.counters b in
+      let delta = Backend.diff_counters ~after ~before in
+      let c = m.Backend.counters in
+      Alcotest.(check bool) "counters = diff_counters of the snapshots" true (c = delta);
+      Alcotest.(check int) "nvme accesses" (Backend.nvme_accesses delta) m.Backend.nvme_accesses;
+      Alcotest.(check bool) "cache hit in the window" true (c.Backend.cache_hits > 0);
+      Alcotest.(check bool) "groups hot at both ends" true
+        (before.Backend.cache_hot_keys > 0 && after.Backend.cache_hot_keys > 0);
+      Alcotest.(check int) "hot keys keep the after value" after.Backend.cache_hot_keys
+        c.Backend.cache_hot_keys)
 
 let () =
   Alcotest.run "leed_backend"
@@ -111,4 +154,6 @@ let () =
         List.map
           (fun n -> Alcotest.test_case n `Quick (deterministic_metrics n))
           Exp_common.backend_names );
+      ( "measure",
+        [ Alcotest.test_case "counters are the snapshot delta" `Quick measure_is_snapshot_delta ] );
     ]

@@ -33,11 +33,12 @@ let observe () =
         Backend.measure ~label:"golden" setup.Exp_common.backend (fun () ->
             Workload.Driver.closed_loop ~clients:workers ~duration:window ~gen ~execute ())
       in
+      let c = m.Backend.counters in
       Printf.bprintf out
         "\nops=%d dur=%h p99=%h p999=%h nvme=%d nacks=%d retries=%d hedges=%d hedge_wins=%d \
          watts=%h now=%h"
         m.Backend.ops m.Backend.duration m.Backend.p99 m.Backend.p999 m.Backend.nvme_accesses
-        m.Backend.nacks m.Backend.retries m.Backend.hedges m.Backend.hedge_wins m.Backend.watts
+        c.Backend.nacks c.Backend.retries c.Backend.hedges c.Backend.hedge_wins m.Backend.watts
         (Sim.now ());
       m.Backend.ops)
   |> fun ops -> (ops, Buffer.contents out)

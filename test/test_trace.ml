@@ -153,6 +153,63 @@ let test_ring_limit () =
   Alcotest.(check int) "ring holds exactly limit" 100 (Trace.count ());
   Alcotest.(check bool) "drops counted" true (Trace.dropped () > 0)
 
+(* --- the JSON value every BENCH_*.json writer goes through --- *)
+
+module Json = Trace.Json
+
+(* Trees of every constructor, with strings full of the bytes an escaper
+   can get wrong and numbers drawn from what [%.9g] renders exactly. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:(frequency [ (3, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '/'; '\127' ]); (2, char) ])
+      (int_range 0 12)
+  in
+  let nine_digits f = float_of_string (Printf.sprintf "%.9g" f) in
+  let num =
+    frequency
+      [
+        (2, map float_of_int (int_range (-1_000_000_000_000) 1_000_000_000_000));
+        (2, map nine_digits (float_range (-1e6) 1e6));
+        (1, map nine_digits (float_range (-1e-3) 1e-3));
+        (1, map2 (fun m e -> nine_digits (m *. (10. ** float_of_int e))) (float_range (-10.) 10.) (int_range (-300) 300));
+        (1, oneofl [ 0.; -0.; 1e15; -1e15; 1e300; 4.9e-324 ]);
+      ]
+  in
+  let leaf =
+    frequency
+      [ (1, return Json.Null); (1, map (fun b -> Json.Bool b) bool); (3, map (fun f -> Json.Num f) num);
+        (3, map (fun s -> Json.Str s) str) ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (n / 3))));
+               (2, map (fun kv -> Json.Obj kv) (list_size (int_range 0 4) (pair str (self (n / 3)))));
+             ])
+
+let json_roundtrip_prop =
+  QCheck.Test.make ~name:"parse (to_string j) = j" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun j -> Json.parse (Json.to_string j) = Ok j)
+
+let test_json_rendering () =
+  Alcotest.(check string) "non-finite numbers are null" "[null,null,null]"
+    (Json.to_string (Json.Arr [ Json.Num Float.nan; Json.Num Float.infinity; Json.Num Float.neg_infinity ]));
+  Alcotest.(check string) "integers exact, fractions %.9g, keys in order"
+    {|{"ops":31133,"big":123456789012,"p99":0.000123456789,"w":1e+20,"s":"a\"b\\c\n\u0001"}|}
+    (Json.to_string
+       (Json.Obj
+          [
+            ("ops", Json.Num 31133.); ("big", Json.Num 123456789012.);
+            ("p99", Json.Num 0.0001234567891); ("w", Json.Num 1e20); ("s", Json.Str "a\"b\\c\n\001");
+          ]))
+
 let () =
   Alcotest.run "leed_trace"
     [
@@ -170,5 +227,10 @@ let () =
         [
           Alcotest.test_case "token conservation replay" `Quick test_token_conservation;
           Alcotest.test_case "tracing off = identical run" `Quick test_tracing_off_identical;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "BENCH rendering" `Quick test_json_rendering;
+          QCheck_alcotest.to_alcotest ~long:false json_roundtrip_prop;
         ] );
     ]
